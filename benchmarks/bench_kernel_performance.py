@@ -76,8 +76,8 @@ def test_produce_roundtrip_throughput(benchmark):
         channel = ReliableChannel(sim, link)
         producer = KafkaProducer(sim, cluster, channel, topic,
                                  config=ProducerConfig(message_timeout_s=10.0))
-        for _ in range(500):
-            producer.offer(ProducerRecord(payload_bytes=200))
+        for key in range(500):
+            producer.offer(ProducerRecord(payload_bytes=200, key=key))
         producer.finish_input()
         sim.run()
         return producer.stats.acknowledged

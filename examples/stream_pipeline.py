@@ -64,7 +64,7 @@ def main() -> None:
         if index >= SOURCE_MESSAGES:
             producer_a.finish_input()
             return
-        record = ProducerRecord(payload_bytes=220, topic="raw")
+        record = ProducerRecord(payload_bytes=220, key=index, topic="raw")
         source_keys.add(record.key)
         producer_a.offer(record)
         sim.schedule(1.0 / SOURCE_RATE, feed, index + 1)
@@ -91,7 +91,9 @@ def main() -> None:
                     continue  # at-least-once consumption: dedup by key
                 processed.add(entry.key)
                 if filter_rng.random() < FILTER_KEEP:
-                    derived_record = ProducerRecord(payload_bytes=180, topic="derived")
+                    derived_record = ProducerRecord(
+                        payload_bytes=180, key=entry.key, topic="derived"
+                    )
                     kept_keys.add(derived_record.key)
                     producer_b.offer(derived_record)
             worker.commit()

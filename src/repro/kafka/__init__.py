@@ -17,7 +17,7 @@ from .config import (
 from .consumer import KafkaConsumer, ReconciliationReport, reconcile
 from .group import ConsumerGroup, GroupMember
 from .log import LogEntry, LogSegment, PartitionLog
-from .message import ProducerRecord, RecordMetadata, reset_key_counter
+from .message import ProducerRecord, RecordMetadata
 from .partition import Partition
 from .producer import KafkaProducer, ProducerListener, ProducerStats
 from .semantics import DeliverySemantics
@@ -49,7 +49,6 @@ __all__ = [
     "PartitionLog",
     "ProducerRecord",
     "RecordMetadata",
-    "reset_key_counter",
     "Partition",
     "KafkaProducer",
     "ProducerListener",

@@ -10,8 +10,7 @@ producer experiences as a request timeout.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from ..observability.trace import EventKind
@@ -21,8 +20,6 @@ from .message import ProducerRecord
 from .partition import Partition
 
 __all__ = ["ProduceRequest", "ProduceResponse", "Broker"]
-
-_request_ids = itertools.count()
 
 
 @dataclass
@@ -37,10 +34,13 @@ class ProduceRequest:
         Destination partition (leader routing happens at the cluster).
     require_acks:
         Whether the broker must send a :class:`ProduceResponse`.
-    producer_id / base_sequence:
-        Idempotent-producer identity; ``None`` for non-idempotent sends.
     wire_bytes:
         Total request size on the wire (payloads + protocol overhead).
+    request_id:
+        Correlation id echoed in the response; the sending producer
+        allocates it to match responses to its outstanding batches.
+    producer_id / base_sequence:
+        Idempotent-producer identity; ``None`` for non-idempotent sends.
     attempt:
         Application-level retry attempt (0 = first send).
     """
@@ -49,10 +49,10 @@ class ProduceRequest:
     partition: Partition
     require_acks: bool
     wire_bytes: int
+    request_id: int
     producer_id: Optional[int] = None
     base_sequence: Optional[int] = None
     attempt: int = 0
-    request_id: int = field(default_factory=lambda: next(_request_ids))
 
     def __post_init__(self) -> None:
         if not self.records:

@@ -10,6 +10,7 @@ broker-failure scenario the paper marks as future work.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Dict, List, Optional
 
 from ..simulation.simulator import Simulator
@@ -51,6 +52,7 @@ class KafkaCluster:
         }
         self.topics: Dict[str, Topic] = {}
         self._append_listeners: List[Callable[[ProducerRecord, Partition, int], None]] = []
+        self._producer_ids = itertools.count(1)
 
     @property
     def broker_ids(self) -> List[str]:
@@ -83,6 +85,10 @@ class KafkaCluster:
         topic = Topic(name, partition_objects, partitioner)
         self.topics[name] = topic
         return topic
+
+    def init_producer_id(self) -> int:
+        """Assign a fresh producer id, as a broker answers ``InitProducerId``."""
+        return next(self._producer_ids)
 
     def topic(self, name: str) -> Topic:
         """Look up a topic by name."""

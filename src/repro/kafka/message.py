@@ -8,19 +8,10 @@ and timestamps the simulation needs, never actual payload bytes.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["ProducerRecord", "RecordMetadata", "reset_key_counter"]
-
-_key_counter = itertools.count()
-
-
-def reset_key_counter() -> None:
-    """Restart the global unique-key sequence (used between experiments)."""
-    global _key_counter
-    _key_counter = itertools.count()
+__all__ = ["ProducerRecord", "RecordMetadata"]
 
 
 @dataclass
@@ -29,10 +20,11 @@ class ProducerRecord:
 
     Attributes
     ----------
-    key:
-        Incremental unique key used for loss/duplicate reconciliation.
     payload_bytes:
         Message size ``M`` in bytes (the payload string length).
+    key:
+        Unique key used for loss/duplicate reconciliation; whoever creates
+        the record (the experiment's sources) allocates it.
     topic:
         Destination topic name.
     source_time:
@@ -46,8 +38,8 @@ class ProducerRecord:
     """
 
     payload_bytes: int
+    key: int
     topic: str = "events"
-    key: int = field(default_factory=lambda: next(_key_counter))
     source_time: float = 0.0
     ingest_time: Optional[float] = None
     timeliness_s: Optional[float] = None

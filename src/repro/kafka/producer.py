@@ -42,8 +42,6 @@ from .topic import Topic
 
 __all__ = ["ProducerListener", "ProducerStats", "KafkaProducer"]
 
-_producer_ids = itertools.count(1)
-
 
 class ProducerListener:
     """Instrumentation hooks; the testbed's delivery tracker subclasses this.
@@ -167,8 +165,10 @@ class KafkaProducer:
         else:
             self._ack_rtt = None
         self.stats = ProducerStats()
-        self.producer_id = next(_producer_ids)
+        self.producer_id = cluster.init_producer_id()
         self._sequence = itertools.count()
+        # Correlation ids for ``_batches``: only this producer matches them.
+        self._request_ids = itertools.count()
         self._queue: Deque[ProducerRecord] = deque()
         self._serializing = False
         self._linger_timer = None
@@ -379,6 +379,7 @@ class KafkaProducer:
             partition=partition,
             require_acks=semantics.waits_for_ack,
             wire_bytes=self._wire_bytes(batch.records),
+            request_id=next(self._request_ids),
             producer_id=producer_id,
             base_sequence=base_sequence,
             attempt=batch.attempt,

@@ -7,8 +7,7 @@ Ethernet + IP + TCP header stack of the paper's Docker bridge network.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
@@ -22,8 +21,6 @@ ACK_PACKET_BYTES = WIRE_HEADER_BYTES
 
 #: Standard Ethernet MTU: maximum payload bytes per packet.
 DEFAULT_MTU = 1500
-
-_packet_ids = itertools.count()
 
 
 class PacketKind(Enum):
@@ -49,8 +46,6 @@ class Packet:
         Index of this segment within its message.
     payload:
         Opaque application object carried by the final segment of a message.
-    packet_id:
-        Globally unique id (for tracing and deduplication).
     attempt:
         Retransmission attempt number for this segment (0 = first try).
     """
@@ -61,7 +56,6 @@ class Packet:
     segment_index: int = 0
     payload: Any = None
     attempt: int = 0
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:

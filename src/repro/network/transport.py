@@ -37,21 +37,7 @@ __all__ = [
     "TransportStats",
     "ReliableChannel",
     "SendFailure",
-    "reset_message_counter",
 ]
-
-_message_ids = itertools.count()
-
-
-def reset_message_counter() -> None:
-    """Restart transport message ids (per-experiment determinism).
-
-    Message ids appear in trace records; restarting them per run makes a
-    trace — and hence its digest — a pure function of the scenario seed
-    regardless of what ran earlier in the process.
-    """
-    global _message_ids
-    _message_ids = itertools.count()
 
 
 @dataclass
@@ -203,6 +189,9 @@ class ReliableChannel:
             FORWARD: _DirectionEndpoint(),
             REVERSE: _DirectionEndpoint(),
         }
+        # Message ids only need to be unique between this channel's two
+        # endpoints, so the channel owns their sequence.
+        self._message_ids = itertools.count()
         self._tracer = telemetry.tracer if telemetry is not None else None
         if telemetry is not None:
             self._rtt_hist = telemetry.metrics.histogram(
@@ -265,7 +254,7 @@ class ReliableChannel:
         if size_bytes <= 0:
             raise ValueError("size_bytes must be positive")
         endpoint = self._endpoint(direction)
-        message_id = next(_message_ids)
+        message_id = next(self._message_ids)
         payload_per_segment = self.config.mtu - WIRE_HEADER_BYTES
         total_segments = max(1, -(-size_bytes // payload_per_segment))
         message = _OutstandingMessage(

@@ -7,30 +7,39 @@ Mirrors the paper's procedure (Section III-E):
 3. inject the network fault while the producer runs,
 4. stop fault injection, run the consumer, and
 5. reconcile unique keys to count lost and duplicated messages.
+
+With ``producers=N`` the same procedure runs Section IV-C's scaled
+deployment: N producers, each with its own uplink, share the cluster and
+split the scenario's workload (``N_p/δ = N_p'/(δ+Δδ)``).
 """
 
 from __future__ import annotations
 
+import itertools
 import time
-from typing import Optional
+from typing import Iterator, List, NamedTuple, Optional
 
 import numpy as np
 
 from ..kafka.cluster import KafkaCluster
 from ..kafka.consumer import reconcile
-from ..kafka.message import reset_key_counter
 from ..kafka.producer import KafkaProducer
 from ..kafka.state import DeliveryCase
 from ..network.faults import FaultInjector, NetworkFault
 from ..network.latency import ConstantLatency
 from ..network.link import Link
-from ..network.transport import ReliableChannel, reset_message_counter
+from ..network.transport import ReliableChannel
 from ..observability.invariants import verify_manifest, verify_trace
 from ..observability.telemetry import RunTelemetry, TelemetryConfig
 from ..observability.trace import RingBufferSink
 from ..simulation.random import RngRegistry
 from ..simulation.simulator import Simulator
-from ..workloads.arrival import ConstantRateSource, FullLoadSource, PolledSource
+from ..workloads.arrival import (
+    ConstantRateSource,
+    FullLoadSource,
+    PolledSource,
+    SourceDriver,
+)
 from .cache import default_salt, scenario_fingerprint
 from .results import ExperimentResult
 from .scenario import Scenario
@@ -39,27 +48,50 @@ from .tracker import DeliveryTracker
 __all__ = ["Experiment", "run_experiment"]
 
 
+class _Member(NamedTuple):
+    """One producer's wiring: its own uplink, transport, client and source."""
+
+    link: Link
+    channel: ReliableChannel
+    producer: KafkaProducer
+    injector: FaultInjector
+    source: SourceDriver
+
+
 class Experiment:
     """A fully wired testbed instance for one scenario.
 
-    Building the experiment constructs the simulator, cluster, link,
-    channel, producer, tracker and source; :meth:`run` executes it and
-    returns the :class:`ExperimentResult`.  The pieces stay accessible as
-    attributes for tests and custom drivers.
+    Building the experiment constructs the simulator, cluster, tracker and
+    one (link, channel, producer, injector, source) member per producer;
+    :meth:`run` executes it and returns the :class:`ExperimentResult`.  The
+    pieces stay accessible as attributes for tests and custom drivers;
+    ``link``, ``channel``, ``producer``, ``injector`` and ``source`` name
+    member 0, the only one in the paper's single-producer case.
+
+    The scenario's workload is the *aggregate* stream: member ``i`` gets
+    its share of ``message_count`` and ``arrival_rate / producers`` (for
+    rate-driven sources).  Full-load and polled sources run per member
+    unchanged, each member being its own machine with its own I/O.
+    Network faults apply to every uplink, like NetEm on the shared bridge.
     """
 
     #: Safety valve: no experiment may process more events than this.
     MAX_EVENTS = 20_000_000
 
     def __init__(
-        self, scenario: Scenario, telemetry: Optional[TelemetryConfig] = None
+        self,
+        scenario: Scenario,
+        telemetry: Optional[TelemetryConfig] = None,
+        producers: int = 1,
     ) -> None:
+        if producers < 1:
+            raise ValueError("producers must be >= 1")
+        if producers > scenario.message_count:
+            raise ValueError(
+                f"producers ({producers}) exceeds message_count "
+                f"({scenario.message_count}): every member needs a message"
+            )
         self.scenario = scenario
-        # Unique keys and transport message ids restart per experiment so
-        # partition routing — and the run's trace digest — is a pure
-        # function of the scenario seed.
-        reset_key_counter()
-        reset_message_counter()
         self.sim = Simulator()
         self.rng = RngRegistry(scenario.seed)
         # Telemetry is fully optional: with telemetry=None every component
@@ -76,75 +108,96 @@ class Experiment:
         self.topic = self.cluster.create_topic(
             scenario.topic_name, partitions=scenario.partition_count
         )
-        hardware = scenario.hardware
-        self.link = Link(
-            self.sim,
-            self.rng.stream("link"),
-            capacity_bps=hardware.link_capacity_bps,
-            latency=ConstantLatency(hardware.link_base_delay_s),
-        )
-        self.channel = ReliableChannel(self.sim, self.link, telemetry=self.telemetry)
         self.tracker = DeliveryTracker(
             retries_allowed=scenario.config.semantics.retries_allowed,
             telemetry=self.telemetry,
         )
         self.tracker.attach_clock(self.sim)
-        self.producer = KafkaProducer(
+        self.cluster.add_append_listener(self.tracker.on_append)
+        # Every id is owned by this experiment: the sources share one key
+        # sequence, so keys are unique across the fleet and partition
+        # routing (and the trace digest) is a pure function of the seed.
+        key_ids = itertools.count()
+        self.members: List[_Member] = [
+            self._build_member(index, producers, key_ids)
+            for index in range(producers)
+        ]
+        self.link, self.channel, self.producer, self.injector, self.source = (
+            self.members[0]
+        )
+
+    def _build_member(
+        self, index: int, producers: int, key_ids: Iterator[int]
+    ) -> _Member:
+        scenario = self.scenario
+        hardware = scenario.hardware
+        # Member 0 keeps the single-producer stream names.
+        suffix = f"-{index}" if index else ""
+        link = Link(
+            self.sim,
+            self.rng.stream(f"link{suffix}"),
+            capacity_bps=hardware.link_capacity_bps,
+            latency=ConstantLatency(hardware.link_base_delay_s),
+        )
+        channel = ReliableChannel(self.sim, link, telemetry=self.telemetry)
+        producer = KafkaProducer(
             self.sim,
             self.cluster,
-            self.channel,
+            channel,
             self.topic,
             config=scenario.config,
             hardware=hardware,
             listener=self.tracker,
             telemetry=self.telemetry,
         )
-        self.cluster.add_append_listener(self.tracker.on_append)
-        self.injector = FaultInjector(self.sim, self.link, telemetry=self.telemetry)
-        self.injector.on_broker_availability(self.cluster.set_broker_availability)
-        self.source = self._build_source()
-
-    def _build_source(self):
-        scenario = self.scenario
-        config = scenario.config
-        rng = self.rng.stream("source")
+        injector = FaultInjector(self.sim, link, telemetry=self.telemetry)
+        injector.on_broker_availability(self.cluster.set_broker_availability)
+        base, extra = divmod(scenario.message_count, producers)
         common = dict(
             sim=self.sim,
-            producer=self.producer,
-            count=scenario.message_count,
+            producer=producer,
+            count=base + (1 if index < extra else 0),
             payload_bytes=scenario.message_bytes,
-            rng=rng,
+            rng=self.rng.stream(f"source{suffix}"),
             topic=scenario.topic_name,
             timeliness_s=scenario.timeliness_s,
+            key_ids=key_ids,
         )
+        config = scenario.config
+        source: SourceDriver
         if scenario.arrival_rate is not None:
-            return ConstantRateSource(rate=scenario.arrival_rate, **common)
-        if config.polling_interval_s > 0:
-            return PolledSource(
+            source = ConstantRateSource(
+                rate=scenario.arrival_rate / producers, **common
+            )
+        elif config.polling_interval_s > 0:
+            source = PolledSource(
                 polling_interval_s=config.polling_interval_s,
-                hardware=scenario.hardware,
+                hardware=hardware,
                 **common,
             )
-        return FullLoadSource(
-            hardware=scenario.hardware,
-            waits_for_ack=config.semantics.waits_for_ack,
-            **common,
-        )
+        else:
+            source = FullLoadSource(
+                hardware=hardware,
+                waits_for_ack=config.semantics.waits_for_ack,
+                **common,
+            )
+        return _Member(link, channel, producer, injector, source)
 
     def run(self) -> ExperimentResult:
         """Execute the experiment and return its measured result."""
         scenario = self.scenario
         wall_start = time.perf_counter()
         if scenario.loss_rate > 0 or scenario.network_delay_s > 0:
-            self.injector.inject(
-                NetworkFault(
-                    delay_s=scenario.network_delay_s,
-                    loss_rate=scenario.loss_rate,
-                    jitter_s=scenario.jitter_s,
-                    bursty=scenario.bursty_loss,
-                )
+            fault = NetworkFault(
+                delay_s=scenario.network_delay_s,
+                loss_rate=scenario.loss_rate,
+                jitter_s=scenario.jitter_s,
+                bursty=scenario.bursty_loss,
             )
-        self.source.start()
+            for member in self.members:
+                member.injector.inject(fault)
+        for member in self.members:
+            member.source.start()
         start = self.sim.now
         processed = self.sim.run(max_events=self.MAX_EVENTS)
         if processed >= self.MAX_EVENTS:
@@ -155,9 +208,10 @@ class Experiment:
         duration = self.sim.now - start
         # Fault injection "stops" before consumption: reconciliation reads
         # the committed logs directly, after all network events settled.
-        self.injector.clear()
+        for member in self.members:
+            member.injector.clear()
         report = reconcile(
-            self.source.keys,
+            set().union(*(member.source.keys for member in self.members)),
             self.topic,
             ingest_times=self.tracker.ingest_times,
             timeliness_s=scenario.timeliness_s,
@@ -170,7 +224,6 @@ class Experiment:
             if census.case_counts.get(case)
         }
         ack_latencies = list(self.tracker.ack_latencies.values())
-        stats = self.producer.stats
         delivered = report.delivered_unique
         manifest = None
         if self.telemetry is not None:
@@ -204,8 +257,13 @@ class Experiment:
                 delivered / duration if duration > 0 else None
             ),
             simulated_duration_s=duration,
-            retransmissions=self.channel.stats("forward").retransmissions,
-            request_retries=stats.request_retries,
+            retransmissions=sum(
+                member.channel.stats("forward").retransmissions
+                for member in self.members
+            ),
+            request_retries=sum(
+                member.producer.stats.request_retries for member in self.members
+            ),
             seed=scenario.seed,
         )
         result.manifest = manifest
@@ -216,34 +274,36 @@ class Experiment:
         telemetry = self.telemetry
         metrics = telemetry.metrics
         scenario = self.scenario
-        stats = self.producer.stats
-        for name in (
-            "ingested",
-            "queue_dropped",
-            "expired_in_queue",
-            "expired_after_send",
-            "requests_sent",
-            "request_retries",
-            "acknowledged",
-            "perceived_lost",
-            "fire_and_forget",
-            "bytes_sent",
-        ):
-            metrics.counter(f"producer.{name}").inc(getattr(stats, name))
-        for direction in ("forward", "reverse"):
-            transport = self.channel.stats(direction)
+        for member in self.members:
             for name in (
-                "messages_sent",
-                "messages_delivered",
-                "messages_failed",
-                "segments_sent",
-                "retransmissions",
-                "acks_received",
-                "duplicate_segments",
+                "ingested",
+                "queue_dropped",
+                "expired_in_queue",
+                "expired_after_send",
+                "requests_sent",
+                "request_retries",
+                "acknowledged",
+                "perceived_lost",
+                "fire_and_forget",
+                "bytes_sent",
             ):
-                metrics.counter(f"transport.{direction}.{name}").inc(
-                    getattr(transport, name)
+                metrics.counter(f"producer.{name}").inc(
+                    getattr(member.producer.stats, name)
                 )
+            for direction in ("forward", "reverse"):
+                transport = member.channel.stats(direction)
+                for name in (
+                    "messages_sent",
+                    "messages_delivered",
+                    "messages_failed",
+                    "segments_sent",
+                    "retransmissions",
+                    "acks_received",
+                    "duplicate_segments",
+                ):
+                    metrics.counter(f"transport.{direction}.{name}").inc(
+                        getattr(transport, name)
+                    )
         for broker_id, broker in sorted(self.cluster.brokers.items()):
             metrics.gauge(f"broker.{broker_id}.requests_handled").set(
                 broker.requests_handled
@@ -288,7 +348,9 @@ class Experiment:
 
 
 def run_experiment(
-    scenario: Scenario, telemetry: Optional[TelemetryConfig] = None
+    scenario: Scenario,
+    telemetry: Optional[TelemetryConfig] = None,
+    producers: int = 1,
 ) -> ExperimentResult:
     """Build and run one experiment (the testbed's main entry point)."""
-    return Experiment(scenario, telemetry=telemetry).run()
+    return Experiment(scenario, telemetry=telemetry, producers=producers).run()

@@ -16,7 +16,8 @@ producer's ``finish_input``.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import itertools
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -29,7 +30,11 @@ __all__ = ["SourceDriver", "FullLoadSource", "PolledSource", "ConstantRateSource
 
 
 class SourceDriver:
-    """Base class: emits ``count`` records into a producer, then finishes."""
+    """Base class: emits ``count`` records into a producer, then finishes.
+
+    Record keys are drawn from ``key_ids``; sources feeding one topic must
+    share it so every key stays unique.  A lone source counts from 0.
+    """
 
     def __init__(
         self,
@@ -41,6 +46,7 @@ class SourceDriver:
         topic: str = "events",
         timeliness_s: Optional[float] = None,
         payload_sampler: Optional[Callable[[np.random.Generator], int]] = None,
+        key_ids: Optional[Iterator[int]] = None,
     ) -> None:
         if count < 1:
             raise ValueError("count must be >= 1")
@@ -54,6 +60,7 @@ class SourceDriver:
         self._topic = topic
         self._timeliness_s = timeliness_s
         self._payload_sampler = payload_sampler
+        self._key_ids = key_ids if key_ids is not None else itertools.count()
         self._emitted = 0
         self.keys: set = set()
 
@@ -76,6 +83,7 @@ class SourceDriver:
         )
         record = ProducerRecord(
             payload_bytes=max(1, int(size)),
+            key=next(self._key_ids),
             topic=self._topic,
             source_time=self._sim.now,
             timeliness_s=self._timeliness_s,
@@ -210,6 +218,7 @@ class PolledSource(SourceDriver):
             )
             record = ProducerRecord(
                 payload_bytes=max(1, int(size)),
+                key=next(self._key_ids),
                 topic=self._topic,
                 source_time=self._sim.now,
                 timeliness_s=self._timeliness_s,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.kafka import DeliverySemantics, ProducerConfig
 from repro.kafka.state import DeliveryCase
-from repro.testbed import Experiment, Scenario, run_experiment
+from repro.testbed import Experiment, Scenario, TelemetryConfig, run_experiment
 
 
 def test_clean_network_delivers_everything():
@@ -124,3 +124,27 @@ def test_polled_scenario_uses_polling_interval():
     # 100 messages at >= 50 ms each require >= 5 simulated seconds.
     assert result.simulated_duration_s >= 5.0
     assert result.p_loss <= 0.05
+
+
+def test_experiments_built_together_do_not_share_ids():
+    """Every id is owned by its experiment, so build order cannot leak.
+
+    Both experiments exist before either runs; each must still trace
+    exactly like a fresh run of the same scenario.
+    """
+    scenario = Scenario(
+        message_bytes=300,
+        message_count=200,
+        loss_rate=0.1,
+        network_delay_s=0.05,
+        seed=11,
+        arrival_rate=8.0,
+    )
+    telemetry = TelemetryConfig(trace=True)
+    first = Experiment(scenario, telemetry=telemetry)
+    second = Experiment(scenario, telemetry=telemetry)
+    digests = [
+        experiment.run().manifest["trace_digest"] for experiment in (first, second)
+    ]
+    fresh = run_experiment(scenario, telemetry=telemetry).manifest["trace_digest"]
+    assert digests == [fresh, fresh]

@@ -27,8 +27,18 @@ def test_gilbert_elliott_long_run_frequency_matches_theory(p_gb, p_bg, loss_bad)
     count = 40_000
     losses = sum(model.is_lost(rng) for _ in range(count))
     expected = model.expected_loss_rate()
-    tolerance = 4 * np.sqrt(expected * (1 - expected) / count) + 0.02
-    assert abs(losses / count - expected) < tolerance
+    # Losses are a Markov-modulated Bernoulli stream, not i.i.d.: the Bad
+    # indicator X has stationary share pi and lag-k autocorrelation
+    # lam**k with lam = 1 - p_gb - p_bg, so Var(sum X) ~ n pi (1 - pi)
+    # (1 + lam) / (1 - lam).  Given X, each loss adds independent
+    # Bernoulli(loss_bad) emission noise of variance pi loss_bad (1 - loss_bad).
+    pi_bad = p_gb / (p_gb + p_bg)
+    lam = 1.0 - p_gb - p_bg
+    variance = (
+        loss_bad**2 * pi_bad * (1 - pi_bad) * (1 + lam) / (1 - lam)
+        + pi_bad * loss_bad * (1 - loss_bad)
+    ) / count
+    assert abs(losses / count - expected) < 4 * np.sqrt(variance)
 
 
 @given(rate=st.floats(min_value=0.0, max_value=0.9))

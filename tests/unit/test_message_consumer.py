@@ -13,33 +13,35 @@ from repro.kafka.consumer import ReconciliationReport
 
 
 class TestProducerRecord:
-    def test_keys_are_unique_and_incremental(self):
-        a, b = ProducerRecord(payload_bytes=10), ProducerRecord(payload_bytes=10)
-        assert b.key == a.key + 1
+    def test_key_is_passed_explicitly(self):
+        # Keys come from the experiment's allocator, never a global sequence.
+        with pytest.raises(TypeError):
+            ProducerRecord(payload_bytes=10)
+        assert ProducerRecord(payload_bytes=10, key=7).key == 7
 
     def test_deadline_requires_ingest(self):
-        record = ProducerRecord(payload_bytes=10)
+        record = ProducerRecord(payload_bytes=10, key=0)
         with pytest.raises(ValueError):
             record.deadline(1.0)
         record.ingest_time = 5.0
         assert record.deadline(1.5) == 6.5
 
     def test_staleness(self):
-        record = ProducerRecord(payload_bytes=10, timeliness_s=2.0)
+        record = ProducerRecord(payload_bytes=10, key=0, timeliness_s=2.0)
         record.ingest_time = 1.0
         assert not record.is_stale(2.9)
         assert record.is_stale(3.1)
 
     def test_no_timeliness_is_never_stale(self):
-        record = ProducerRecord(payload_bytes=10)
+        record = ProducerRecord(payload_bytes=10, key=0)
         record.ingest_time = 0.0
         assert not record.is_stale(1e9)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ProducerRecord(payload_bytes=0)
+            ProducerRecord(payload_bytes=0, key=0)
         with pytest.raises(ValueError):
-            ProducerRecord(payload_bytes=10, timeliness_s=0.0)
+            ProducerRecord(payload_bytes=10, key=0, timeliness_s=0.0)
 
 
 def make_topic():

@@ -56,7 +56,7 @@ def offer_n(sim, producer, count, payload=100, spacing=0.01):
         if i >= count:
             producer.finish_input()
             return
-        record = ProducerRecord(payload_bytes=payload)
+        record = ProducerRecord(payload_bytes=payload, key=i)
         keys.append(record.key)
         producer.offer(record)
         sim.schedule(spacing, emit, i + 1)
@@ -96,7 +96,7 @@ def test_batching_groups_messages_per_request():
 def test_linger_flushes_partial_batch():
     config = ProducerConfig(batch_size=10, linger_s=0.05)
     sim, _, topic, producer = make_producer(config)
-    record = ProducerRecord(payload_bytes=100)
+    record = ProducerRecord(payload_bytes=100, key=0)
     producer.offer(record)
     sim.run(until=1.0)
     assert topic.total_messages() == 1
@@ -108,7 +108,7 @@ def test_linger_flushes_partial_batch():
 def test_finish_input_flushes_incomplete_batch_immediately():
     config = ProducerConfig(batch_size=10, linger_s=30.0)
     sim, _, topic, producer = make_producer(config)
-    producer.offer(ProducerRecord(payload_bytes=100))
+    producer.offer(ProducerRecord(payload_bytes=100, key=0))
     producer.finish_input()
     sim.run()
     assert topic.total_messages() == 1
@@ -129,7 +129,9 @@ def test_queue_expiry_drops_stale_records():
 def test_queue_capacity_drops_overflow():
     config = ProducerConfig(queue_capacity=2)
     sim, _, _, producer = make_producer(config, capacity=10.0)
-    accepted = [producer.offer(ProducerRecord(payload_bytes=100)) for _ in range(6)]
+    accepted = [
+        producer.offer(ProducerRecord(payload_bytes=100, key=key)) for key in range(6)
+    ]
     assert accepted.count(False) >= 3
     assert producer.stats.queue_dropped >= 3
 
@@ -138,7 +140,7 @@ def test_ingest_time_stamped_on_offer():
     sim, _, _, producer = make_producer()
     sim.schedule(2.0, lambda: None)
     sim.run()
-    record = ProducerRecord(payload_bytes=50)
+    record = ProducerRecord(payload_bytes=50, key=0)
     producer.offer(record)
     assert record.ingest_time == 2.0
     producer.finish_input()
@@ -147,7 +149,7 @@ def test_ingest_time_stamped_on_offer():
 
 def test_done_signal_waits_for_outstanding():
     sim, _, _, producer = make_producer()
-    producer.offer(ProducerRecord(payload_bytes=100))
+    producer.offer(ProducerRecord(payload_bytes=100, key=0))
     producer.finish_input()
     assert not producer.done.triggered
     sim.run()
@@ -165,7 +167,7 @@ def test_offer_after_close_raises():
     sim, _, _, producer = make_producer()
     producer.close()
     with pytest.raises(RuntimeError):
-        producer.offer(ProducerRecord(payload_bytes=100))
+        producer.offer(ProducerRecord(payload_bytes=100, key=0))
 
 
 def test_exactly_once_deduplicates_broker_side():

@@ -31,8 +31,8 @@ class TestInFlightByteWindow:
         hardware = HardwareProfile(socket_buffer_bytes=3000)
         config = ProducerConfig(message_timeout_s=30.0, max_in_flight=15)
         sim, _, _, producer = make(config, hardware, capacity=2000.0)
-        for _ in range(6):
-            producer.offer(ProducerRecord(payload_bytes=1000))
+        for key in range(6):
+            producer.offer(ProducerRecord(payload_bytes=1000, key=key))
         sim.run(until=0.5)
         assert producer._in_flight_bytes <= hardware.socket_buffer_bytes + 1300
         producer.finish_input()
@@ -42,7 +42,7 @@ class TestInFlightByteWindow:
 
     def test_byte_charge_released_on_completion(self):
         sim, _, _, producer = make(ProducerConfig(message_timeout_s=5.0))
-        producer.offer(ProducerRecord(payload_bytes=500))
+        producer.offer(ProducerRecord(payload_bytes=500, key=0))
         producer.finish_input()
         sim.run()
         assert producer._in_flight_bytes == 0
@@ -50,8 +50,8 @@ class TestInFlightByteWindow:
     def test_small_requests_limited_by_request_window(self):
         config = ProducerConfig(message_timeout_s=30.0, max_in_flight=2)
         sim, _, _, producer = make(config, capacity=500.0)
-        for _ in range(8):
-            producer.offer(ProducerRecord(payload_bytes=50))
+        for key in range(8):
+            producer.offer(ProducerRecord(payload_bytes=50, key=key))
         sim.run(until=0.1)
         assert producer._tokens.in_use <= 2
         producer.finish_input()
@@ -63,8 +63,8 @@ class TestExpiryLookahead:
         """The lookahead drops doomed heads so batches stay full."""
         config = ProducerConfig(batch_size=4, message_timeout_s=1.0, linger_s=0.5)
         sim, _, _, producer = make(config, capacity=4000.0)
-        for _ in range(80):
-            producer.offer(ProducerRecord(payload_bytes=300))
+        for key in range(80):
+            producer.offer(ProducerRecord(payload_bytes=300, key=key))
         producer.finish_input()
         sim.run()
         stats = producer.stats
@@ -88,8 +88,8 @@ class TestRetryPath:
         injector.inject(NetworkFault(loss_rate=0.5))
         sim.schedule(120.0, injector.clear)
         keys = []
-        for _ in range(30):
-            record = ProducerRecord(payload_bytes=100)
+        for key in range(30):
+            record = ProducerRecord(payload_bytes=100, key=key)
             keys.append(record.key)
             producer.offer(record)
         producer.finish_input()
@@ -104,7 +104,7 @@ class TestRetryPath:
             retry_backoff_s=0.01,
         )
         sim, _, _, producer = make(config, capacity=20.0, seed=17)
-        producer.offer(ProducerRecord(payload_bytes=1500))
+        producer.offer(ProducerRecord(payload_bytes=1500, key=0))
         producer.finish_input()
         sim.run(until=120.0)
         assert producer.stats.request_retries <= 2
@@ -113,7 +113,7 @@ class TestRetryPath:
 class TestSweepLifecycle:
     def test_idle_producer_does_not_keep_simulator_alive(self):
         sim, _, _, producer = make()
-        producer.offer(ProducerRecord(payload_bytes=100))
+        producer.offer(ProducerRecord(payload_bytes=100, key=0))
         producer.finish_input()
         sim.run()  # must terminate (self-suspending sweep)
         assert producer.done.triggered
@@ -122,7 +122,7 @@ class TestSweepLifecycle:
     def test_sweep_rearms_on_new_offers(self):
         config = ProducerConfig(message_timeout_s=0.3)
         sim, _, _, producer = make(config, capacity=10.0)
-        producer.offer(ProducerRecord(payload_bytes=2000))
+        producer.offer(ProducerRecord(payload_bytes=2000, key=0))
         sim.run(until=2.0)
         # Expired via sweep even though nothing else was scheduled.
         assert producer.stats.expired_in_queue + producer.stats.expired_after_send >= 0
