@@ -151,30 +151,27 @@ class Broker:
             self._record_drop(request, phase="processing")
             return
         self.requests_handled += 1
+        now = self._sim.now
+        partition = request.partition
+        producer_id = request.producer_id
+        base_sequence = request.base_sequence
+        tracer = self._tracer
         base_offset: Optional[int] = None
         appended = 0
         for position, record in enumerate(request.records):
-            sequence = (
-                request.base_sequence + position
-                if request.base_sequence is not None
-                else None
-            )
-            offset = request.partition.append(
-                key=record.key,
-                payload_bytes=record.payload_bytes,
-                timestamp=self._sim.now,
-                producer_id=request.producer_id,
-                sequence=sequence,
+            sequence = base_sequence + position if base_sequence is not None else None
+            offset = partition.append(
+                record.key, record.payload_bytes, now, producer_id, sequence
             )
             if offset is None:
                 continue  # idempotence fencing discarded a duplicate
             appended += 1
             if base_offset is None:
                 base_offset = offset
-            if self._tracer is not None:
-                self._tracer.emit(
+            if tracer is not None:
+                tracer.emit(
                     EventKind.APPEND,
-                    self._sim.now,
+                    now,
                     key=record.key,
                     broker=self.broker_id,
                     offset=offset,
@@ -182,14 +179,14 @@ class Broker:
             if self._metrics is not None:
                 self._metrics.counter("broker.appends").inc()
             for listener in self._append_listeners:
-                listener(record, request.partition, offset)
+                listener(record, partition, offset)
         if on_done is not None:
             on_done(
                 ProduceResponse(
                     request_id=request.request_id,
-                    partition_name=request.partition.name,
+                    partition_name=partition.name,
                     base_offset=base_offset,
-                    timestamp=self._sim.now,
+                    timestamp=now,
                     appended=appended,
                 )
             )

@@ -62,16 +62,18 @@ class Partition:
         sequence: Optional[int] = None,
     ) -> Optional[int]:
         """Append to the leader log (and replicate); returns the offset."""
-        offset = self.leader_log.append(
-            key, payload_bytes, timestamp, producer_id, sequence
+        leader = self.leader_log
+        entry = leader.append_entry(
+            LogEntry(leader.next_offset, key, payload_bytes, timestamp, producer_id, sequence)
         )
-        if offset is None:
+        if entry is None:
             return None
         # Leader-push replication: followers apply synchronously in the
-        # simulation; the broker layer adds the acks=all latency cost.
+        # simulation (sharing the leader's immutable entry); the broker
+        # layer adds the acks=all latency cost.
         for log in self.replica_logs.values():
-            log.append(key, payload_bytes, timestamp, producer_id, sequence)
-        return offset
+            log.append_entry(entry)
+        return entry.offset
 
     def read(self, start_offset: int = 0, max_entries: Optional[int] = None) -> List[LogEntry]:
         """Read committed entries from the leader log."""

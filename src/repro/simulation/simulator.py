@@ -66,7 +66,7 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}s in the past")
-        return self._queue.push(self._now + delay, callback, *args, priority=priority)
+        return self._queue.push(self._now + delay, callback, args, priority)
 
     def schedule_at(
         self,
@@ -80,7 +80,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self._now}"
             )
-        return self._queue.push(time, callback, *args, priority=priority)
+        return self._queue.push(time, callback, args, priority)
 
     def cancel(self, event: Event) -> None:
         """Cancel a scheduled event."""

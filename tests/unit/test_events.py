@@ -7,7 +7,7 @@ from repro.simulation.events import Event, EventQueue, HIGH_PRIORITY, LOW_PRIORI
 def test_push_pop_single_event():
     queue = EventQueue()
     fired = []
-    queue.push(1.0, fired.append, "a")
+    queue.push(1.0, fired.append, ("a",))
     event = queue.pop()
     event.fire()
     assert fired == ["a"]
@@ -25,10 +25,10 @@ def test_pop_returns_events_in_time_order():
 def test_same_time_orders_by_priority_then_insertion():
     queue = EventQueue()
     order = []
-    queue.push(1.0, order.append, "normal-first")
-    queue.push(1.0, order.append, "high", priority=HIGH_PRIORITY)
-    queue.push(1.0, order.append, "low", priority=LOW_PRIORITY)
-    queue.push(1.0, order.append, "normal-second")
+    queue.push(1.0, order.append, ("normal-first",))
+    queue.push(1.0, order.append, ("high",), HIGH_PRIORITY)
+    queue.push(1.0, order.append, ("low",), LOW_PRIORITY)
+    queue.push(1.0, order.append, ("normal-second",))
     while queue:
         queue.pop().fire()
     assert order == ["high", "normal-first", "normal-second", "low"]

@@ -117,6 +117,17 @@ def test_direction_lookup(sim, rng):
         link.direction("sideways")
 
 
+def test_send_to_unknown_direction_rejected(sim, rng):
+    link = Link(sim, rng)
+    with pytest.raises(ValueError):
+        link.send(make_packet(), "sideways", lambda p: None)
+
+
+def test_packet_size_must_be_positive():
+    with pytest.raises(ValueError):
+        Packet(kind=PacketKind.DATA, size_bytes=0, message_id=0)
+
+
 def test_capacity_validation(sim, rng):
     with pytest.raises(ValueError):
         Link(sim, rng, capacity_bps=0.0)

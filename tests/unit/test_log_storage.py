@@ -3,7 +3,32 @@
 import pytest
 
 from repro.kafka import KeyHashPartitioner, Partition, PartitionLog, RoundRobinPartitioner, Topic
-from repro.kafka.log import LogSegment
+from repro.kafka.log import LogEntry, LogSegment
+
+BROKERS = ["broker-0", "broker-1", "broker-2"]
+
+
+def _contents(log):
+    return [
+        (e.offset, e.key, e.payload_bytes, e.timestamp, e.producer_id, e.sequence)
+        for e in log
+    ]
+
+
+class _IndependentReplicas:
+    """Reference replication: every replica log appends each record itself."""
+
+    def __init__(self, leader):
+        self.leader = leader
+        self.logs = {broker: PartitionLog() for broker in BROKERS}
+
+    def append(self, *record):
+        offset = self.logs[self.leader].append(*record)
+        if offset is not None:
+            for broker, log in self.logs.items():
+                if broker != self.leader:
+                    log.append(*record)
+        return offset
 
 
 class TestPartitionLog:
@@ -57,6 +82,13 @@ class TestPartitionLog:
         with pytest.raises(ValueError):
             segment.append(LogEntry(offset=12, key=1, payload_bytes=1, timestamp=0.0))
 
+    def test_segment_rejects_a_rewound_offset(self):
+        segment = LogSegment(base_offset=10)
+        segment.append(LogEntry(offset=10, key=1, payload_bytes=1, timestamp=0.0))
+        with pytest.raises(ValueError):
+            segment.append(LogEntry(offset=10, key=2, payload_bytes=1, timestamp=0.0))
+        assert [entry.key for entry in segment.entries] == [1]
+
 
 class TestPartition:
     def make(self):
@@ -84,6 +116,54 @@ class TestPartition:
         assert partition.leader_broker_id == "broker-1"
         assert len(partition.leader_log) == 1
         assert "broker-0" in partition.replica_logs
+
+    def test_followers_share_the_leaders_entry(self):
+        partition = self.make()
+        partition.append(1, 10, 0.0)
+        [entry] = partition.leader_log.read()
+        for log in partition.replica_logs.values():
+            assert log.read()[0] is entry
+
+    def test_logs_match_independent_appends_across_an_election(self):
+        partition = self.make()
+        reference = _IndependentReplicas("broker-0")
+        # broker-2 diverged before the run (one extra record), and
+        # broker-1 already holds a later sequence of producer 7.
+        for target in (partition.replica_logs["broker-2"], reference.logs["broker-2"]):
+            target.append(99, 5, 0.0)
+        for target in (partition.replica_logs["broker-1"], reference.logs["broker-1"]):
+            target.append(98, 5, 0.0, producer_id=7, sequence=2)
+        records = [(key, 10, 0.1 * key, 7, key) for key in range(5)]
+        records += [(50 + key, 10, 1.0, None, None) for key in range(2)]
+        for record in records[:4]:
+            assert partition.append(*record) == reference.append(*record)
+        partition.elect_new_leader("broker-2")
+        reference.leader = "broker-2"
+        # A retried batch after the election: sequences 2-3 are fenced.
+        for record in records[2:]:
+            assert partition.append(*record) == reference.append(*record)
+        logs = {"broker-2": partition.leader_log, **partition.replica_logs}
+        for broker in BROKERS:
+            assert _contents(logs[broker]) == _contents(reference.logs[broker]), broker
+        # Logs whose end offsets differ built their own copies.
+        before, after = logs["broker-2"].read(1)[0], logs["broker-2"].read(5)[0]
+        assert before.key == logs["broker-0"].read(0)[0].key
+        assert before is not logs["broker-0"].read(0)[0]
+        assert after.key == logs["broker-0"].read(4)[0].key
+        assert after is not logs["broker-0"].read(4)[0]
+
+    def test_exactly_once_duplicates_are_fenced_on_followers(self):
+        partition = self.make()
+        assert partition.append(1, 10, 0.0, producer_id=7, sequence=0) == 0
+        assert partition.append(1, 10, 0.1, producer_id=7, sequence=0) is None
+        # Each follower fences on its own state: one that already holds a
+        # later sequence of the producer discards the leader's entry.
+        ahead = partition.replica_logs["broker-2"]
+        ahead.append(5, 10, 0.2, producer_id=7, sequence=4)
+        assert partition.append(2, 10, 0.3, producer_id=7, sequence=1) == 1
+        assert [e.key for e in partition.leader_log] == [1, 2]
+        assert [e.key for e in partition.replica_logs["broker-1"]] == [1, 2]
+        assert [e.key for e in ahead] == [1, 5]
 
     def test_failover_to_non_follower_rejected(self):
         with pytest.raises(ValueError):
