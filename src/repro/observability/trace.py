@@ -58,6 +58,12 @@ class EventKind:
     CONTROLLER = "controller"  #: dynamic-configuration decision
 
 
+#: ``json.dumps`` with these options builds a fresh encoder per call;
+#: traced runs encode every record (twice with invariant checks), so the
+#: encoder is built once.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def encode_record(record: Dict[str, Any]) -> str:
     """Canonical one-line JSON encoding of a trace record.
 
@@ -65,7 +71,7 @@ def encode_record(record: Dict[str, Any]) -> str:
     the same bytes, and ``json.loads(encode_record(r))`` round-trips floats
     exactly (Python emits shortest-repr floats).
     """
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(record)
 
 
 def _new_digest() -> "hashlib._Hash":
