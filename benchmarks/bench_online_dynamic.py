@@ -3,9 +3,12 @@
 The paper's Section V controller assumes the network status is known and
 generates configurations offline; its conclusion lists an online
 algorithm as future work.  This bench evaluates our implementation of
-that extension: a closed loop that *estimates* delay and loss from
-producer-observable signals (min-RTT, retransmission counters) and
-re-runs the stepwise KPI search per interval.
+that extension: a closed loop (``DegradedModeController``) that
+*estimates* delay and loss from producer-observable signals (min-RTT,
+retransmission and retry counters) and re-runs the stepwise KPI search
+per interval.  All three policies replay the same trace through
+``run_traced_experiment`` — same intervals, workload and seeds — so only
+the policy differs between the rows.
 
 Expected ordering on the Fig. 9 trace:
 
@@ -16,10 +19,9 @@ Expected ordering on the Fig. 9 trace:
 from repro.analysis import comparison_table, render_table
 from repro.kafka import DEFAULT_PRODUCER_CONFIG
 from repro.kpi import (
+    DegradedModeController,
     DynamicConfigurationController,
     KpiWeights,
-    OnlineDynamicController,
-    run_online_experiment,
     run_traced_experiment,
 )
 from repro.network import generate_paper_trace
@@ -51,11 +53,11 @@ def run_comparison(paper_model):
         oracle = run_traced_experiment(
             trace, stream, plan=plan, messages_cap_per_interval=300, seed=11,
         )
-        online_controller = OnlineDynamicController(
+        online_controller = DegradedModeController(
             paper_model, performance_model, weights=weights, gamma_requirement=0.95,
         )
-        online = run_online_experiment(
-            trace, stream, online_controller,
+        online = run_traced_experiment(
+            trace, stream, controller=online_controller,
             messages_cap_per_interval=300, seed=11,
         )
         outcomes[stream.name] = {

@@ -28,12 +28,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..kafka.config import DEFAULT_PRODUCER_CONFIG, ProducerConfig
-from ..kpi.dynamic import (
-    DegradedModeController,
-    IntervalObservation,
-    _FallbackPredictorView,
-)
-from ..kpi.selection import SelectionContext, evaluate_configs
+from ..kpi.dynamic import DegradedModeController, IntervalObservation, predict_gamma
+from ..kpi.selection import SelectionContext
 from ..kpi.weighted import KpiWeights, kpi_from_estimates
 from ..models.predictor import ReliabilityEstimate, ReliabilityPredictor
 from ..observability.telemetry import TelemetryConfig
@@ -263,7 +259,8 @@ def run_campaign(
         and the report records which tier it had to use.
     controller:
         Optional pre-built controller (tests tune breaker/hysteresis);
-        built from ``predictor`` when omitted.  ``degraded`` policy only.
+        built from ``predictor`` and the stream's KPI weights when
+        omitted.  ``degraded`` policy only.
     messages_cap_per_phase:
         Optional ceiling on messages per phase for quick smoke runs.
     """
@@ -274,13 +271,15 @@ def run_campaign(
         if performance_model is not None
         else ProducerPerformanceModel()
     )
+    weights = KpiWeights.of(stream.kpi_weights)
     if policy == "degraded":
         if controller is None:
             if predictor is None:
                 predictor = ReliabilityPredictor()
-            controller = DegradedModeController(predictor, performance_model=model)
+            controller = DegradedModeController(
+                predictor, performance_model=model, weights=weights
+            )
         predictor = controller.predictor
-    weights = KpiWeights.of(stream.kpi_weights)
     report = CampaignReport(
         schedule_name=schedule.name,
         policy=policy,
@@ -319,13 +318,7 @@ def run_campaign(
             loss_rate=loss,
         )
         if policy == "static" and predictor is not None:
-            view = _FallbackPredictorView(predictor)
-            # evaluate_configs routes through the view's batched fallback
-            # path, so phases repeating the same conditions hit the
-            # predictor's quantised-feature memo instead of re-running the
-            # forward pass (bit-identical either way).
-            predicted = evaluate_configs([config], context, view, model, weights)[0]
-            source = view.worst_source
+            predicted, source = predict_gamma(config, context, predictor, model, weights)
         gamma_measured = kpi_from_estimates(
             model.predict(config, stream.mean_payload_bytes, network_delay_s=delay),
             ReliabilityEstimate(
@@ -369,19 +362,8 @@ def run_campaign(
             )
         )
         if policy == "degraded":
-            stats = experiment.producer.stats
-            forward = experiment.channel.stats("forward")
             controller.observe(
-                IntervalObservation(
-                    requests_sent=stats.requests_sent,
-                    acknowledged=stats.acknowledged,
-                    request_retries=stats.request_retries,
-                    perceived_lost=stats.perceived_lost,
-                    segments_sent=forward.segments_sent,
-                    retransmissions=forward.retransmissions,
-                    min_rtt_s=experiment.channel.minimum_rtt("forward"),
-                    waits_for_ack=config.semantics.waits_for_ack,
-                ),
+                IntervalObservation.from_experiment(experiment),
                 message_bytes=stream.mean_payload_bytes,
                 batch_size=config.batch_size,
             )

@@ -3,16 +3,13 @@
 ``weighted_kpi`` evaluates Eq. 2; ``select_configuration`` performs the
 paper's stepwise search; ``DynamicConfigurationController`` generates the
 offline configuration file and ``run_traced_experiment`` replays it over
-a network trace, aggregating Eq. 3 into the Table II rates.
+a network trace, aggregating Eq. 3 into the Table II rates.  The same
+replay drives the online extension: ``DegradedModeController`` closes the
+loop from the ``NetworkStateEstimator``'s estimate of the network state.
 """
 
 from .aggregate import IntervalMeasurement, OverallRates, aggregate_rates
-from .online import (
-    NetworkStateEstimate,
-    NetworkStateEstimator,
-    OnlineDynamicController,
-    run_online_experiment,
-)
+from .online import NetworkStateEstimate, NetworkStateEstimator
 from .dynamic import (
     PARKED_CONFIG,
     CircuitBreaker,
@@ -23,6 +20,7 @@ from .dynamic import (
     DynamicConfigurationController,
     DynamicRunReport,
     IntervalObservation,
+    predict_gamma,
     required_producers,
     run_traced_experiment,
 )
@@ -49,6 +47,7 @@ __all__ = [
     "DegradedDecision",
     "DegradedModeController",
     "PARKED_CONFIG",
+    "predict_gamma",
     "required_producers",
     "run_traced_experiment",
     "ParameterSteps",
@@ -59,8 +58,6 @@ __all__ = [
     "select_configuration",
     "NetworkStateEstimate",
     "NetworkStateEstimator",
-    "OnlineDynamicController",
-    "run_online_experiment",
     "KpiWeights",
     "DEFAULT_WEIGHTS",
     "weighted_kpi",

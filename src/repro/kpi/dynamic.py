@@ -18,6 +18,11 @@ Producer scaling (Section IV-C) is applied when the chosen polling
 interval would throttle the stream's aggregate arrival rate: the plan
 records how many producer instances are needed to keep ``N_p/δ`` constant
 and the experiment divides the workload among them.
+
+The paper's future-work extension drops the known-status assumption:
+:class:`DegradedModeController` decides each interval from what the
+producer observed in the previous one, and the same trace replay runs it
+with ``run_traced_experiment(controller=...)``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..kafka.config import DEFAULT_PRODUCER_CONFIG, ProducerConfig
 from ..kafka.semantics import DeliverySemantics
@@ -36,10 +41,11 @@ from ..network.trace import NetworkTrace
 from ..observability.telemetry import RunTelemetry
 from ..observability.trace import EventKind
 from ..performance.queueing import ProducerPerformanceModel
-from ..testbed.experiment import run_experiment
+from ..testbed.experiment import Experiment
 from ..testbed.scenario import Scenario
 from ..workloads.streams import StreamProfile
 from .aggregate import IntervalMeasurement, OverallRates, aggregate_rates
+from .online import NetworkStateEstimator
 from .selection import (
     ParameterSteps,
     SelectionContext,
@@ -59,6 +65,7 @@ __all__ = [
     "DegradedDecision",
     "DegradedModeController",
     "PARKED_CONFIG",
+    "predict_gamma",
 ]
 
 
@@ -293,6 +300,22 @@ class IntervalObservation:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
+    @classmethod
+    def from_experiment(cls, experiment: Experiment) -> "IntervalObservation":
+        """What the producer of a finished experiment could observe."""
+        stats = experiment.producer.stats
+        forward = experiment.channel.stats("forward")
+        return cls(
+            requests_sent=stats.requests_sent,
+            acknowledged=stats.acknowledged,
+            request_retries=stats.request_retries,
+            perceived_lost=stats.perceived_lost,
+            segments_sent=forward.segments_sent,
+            retransmissions=forward.retransmissions,
+            min_rtt_s=experiment.channel.minimum_rtt("forward"),
+            waits_for_ack=experiment.scenario.config.semantics.waits_for_ack,
+        )
+
     @property
     def ack_ratio(self) -> Optional[float]:
         """Fraction of requests acknowledged, or None without signal.
@@ -429,6 +452,26 @@ class _FallbackPredictorView:
         return [fallback.estimate for fallback in fallbacks]
 
 
+def predict_gamma(
+    config: ProducerConfig,
+    context: SelectionContext,
+    predictor: ReliabilityPredictor,
+    performance_model: ProducerPerformanceModel,
+    weights: KpiWeights,
+) -> Tuple[float, str]:
+    """Predicted γ of one configuration through the fallback chain.
+
+    Returns the γ and the fallback tier that answered (``"ann"``,
+    ``"neighbour"`` or ``"conservative"``), so it never raises on an
+    uncovered submodel.  It goes through the batched entry point (a batch
+    of one): repeated control ticks under unchanged conditions are served
+    from the predictor's memo.
+    """
+    view = _FallbackPredictorView(predictor)
+    gamma = evaluate_configs([config], context, view, performance_model, weights)[0]
+    return gamma, view.worst_source
+
+
 class DegradedModeController:
     """Closed-loop controller that survives estimator and predictor faults.
 
@@ -470,9 +513,6 @@ class DegradedModeController:
             raise ValueError("min_hold_intervals must be >= 1")
         if not 0.0 <= silence_threshold < 1.0:
             raise ValueError("silence_threshold must be in [0, 1)")
-        # Imported lazily: kpi.online imports this module at load time.
-        from .online import NetworkStateEstimator
-
         self.predictor = predictor
         self.performance_model = (
             performance_model
@@ -525,14 +565,10 @@ class DegradedModeController:
 
     def _gamma_of(
         self, config: ProducerConfig, context: SelectionContext
-    ) -> "tuple[float, str]":
-        view = _FallbackPredictorView(self.predictor)
-        # Batched entry point (batch of one): repeated control ticks under
-        # unchanged conditions serve from the predictor's memo.
-        gamma = evaluate_configs(
-            [config], context, view, self.performance_model, self.weights
-        )[0]
-        return gamma, view.worst_source
+    ) -> Tuple[float, str]:
+        return predict_gamma(
+            config, context, self.predictor, self.performance_model, self.weights
+        )
 
     def decide(
         self, stream: StreamProfile, current: ProducerConfig
@@ -631,26 +667,41 @@ def run_traced_experiment(
     static_config: Optional[ProducerConfig] = None,
     seed: int = 1,
     messages_cap_per_interval: Optional[int] = None,
+    controller: Optional[DegradedModeController] = None,
 ) -> DynamicRunReport:
     """Replay a trace against a policy and aggregate Eq. 3.
 
-    Exactly one of ``plan`` (dynamic policy) or ``static_config``
-    (default policy) must be given.  Each trace interval runs as its own
-    testbed experiment — the paper restarts the producer on every
-    configuration change anyway — and contributes a workload-weighted
-    interval measurement.
+    Exactly one policy must be given: ``plan`` (the offline dynamic
+    configuration), ``static_config`` (the default policy) or
+    ``controller`` (closed-loop online control).  Each trace interval runs
+    as its own testbed experiment — the paper restarts the producer on
+    every configuration change anyway — and contributes a
+    workload-weighted interval measurement.
+
+    Under ``controller`` the trace drives only the fault injector, never
+    a decision: the run starts from :data:`DEFAULT_PRODUCER_CONFIG`, each
+    interval's producer-side signals feed
+    :meth:`DegradedModeController.observe`, and the next interval runs the
+    configuration :meth:`DegradedModeController.decide` chose.
     """
-    if (plan is None) == (static_config is None):
-        raise ValueError("give exactly one of plan or static_config")
+    if sum(policy is not None for policy in (plan, static_config, controller)) != 1:
+        raise ValueError("give exactly one of plan, static_config or controller")
     intervals: List[IntervalMeasurement] = []
     stale_fractions: List[float] = []
-    policy = "dynamic" if plan is not None else "default"
+    if plan is not None:
+        policy = "dynamic"
+    elif static_config is not None:
+        policy = "default"
+    else:
+        policy = "online"
+    config = static_config if static_config is not None else DEFAULT_PRODUCER_CONFIG
+    producers = 1
     for index, point in enumerate(trace):
         if plan is not None:
             entry = plan.at(point.time_s)
             config, producers = entry.config, entry.producers
-        else:
-            config, producers = static_config, 1
+        elif controller is not None:
+            producers = required_producers(config, stream)
         interval_messages = stream.arrival_rate * trace.interval_s
         per_producer_rate = stream.arrival_rate / producers
         # Producers ingest at most 1/δ each; workload beyond that backs up
@@ -676,7 +727,8 @@ def run_traced_experiment(
             bursty_loss=True,
             arrival_rate=effective_rate,
         )
-        result = run_experiment(scenario)
+        experiment = Experiment(scenario)
+        result = experiment.run()
         p_loss = min(1.0, result.p_loss * (1.0 - shortfall) + shortfall)
         intervals.append(
             IntervalMeasurement(
@@ -686,6 +738,13 @@ def run_traced_experiment(
             )
         )
         stale_fractions.append(result.p_stale)
+        if controller is not None:
+            controller.observe(
+                IntervalObservation.from_experiment(experiment),
+                message_bytes=stream.mean_payload_bytes,
+                batch_size=config.batch_size,
+            )
+            config = controller.decide(stream, config).config
     rates = aggregate_rates(intervals)
     mean_stale = sum(stale_fractions) / len(stale_fractions) if stale_fractions else 0.0
     return DynamicRunReport(

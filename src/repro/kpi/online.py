@@ -1,46 +1,26 @@
-"""Online dynamic configuration (the paper's future-work extension).
+"""Network-state estimation from producer-observable signals.
 
 Section V assumes "the network status to be known" and generates the
 configuration file offline; the conclusion lists an online algorithm as
-future work.  This module implements that extension:
+future work.  This module is the estimation half of that extension:
+:class:`NetworkStateEstimator` infers the current one-way delay and
+packet loss rate purely from producer-observable signals — response
+round-trip times, transport retransmission counters and request
+failures — using exponentially weighted moving averages.
 
-* :class:`NetworkStateEstimator` infers the current one-way delay and
-  packet loss rate purely from producer-observable signals — response
-  round-trip times, transport retransmission counters and request
-  failures — using exponentially weighted moving averages.
-* :class:`OnlineDynamicController` re-runs the paper's stepwise KPI
-  search every interval against the *estimated* state and reconfigures
-  the producer, with a hysteresis guard so small estimate wobbles do not
-  trigger restarts (the paper: frequent changes cost coordination
-  overhead).
-
-The online loop therefore needs no oracle: the bench compares it against
-both the offline (oracle-trace) controller and the static default.
+The control half, which acts on the estimate, is
+:class:`~repro.kpi.dynamic.DegradedModeController`, replayed over a trace
+by :func:`~repro.kpi.dynamic.run_traced_experiment` with ``controller=``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
-from ..kafka.config import DEFAULT_PRODUCER_CONFIG, ProducerConfig
-from ..models.predictor import ReliabilityPredictor
-from ..network.trace import NetworkTrace
 from ..performance.queueing import ProducerPerformanceModel
-from ..testbed.experiment import Experiment
-from ..testbed.scenario import Scenario
-from ..workloads.streams import StreamProfile
-from .aggregate import IntervalMeasurement, aggregate_rates
-from .dynamic import DynamicRunReport, required_producers
-from .selection import (
-    ParameterSteps,
-    SelectionContext,
-    evaluate_config,
-    select_configuration,
-)
-from .weighted import DEFAULT_WEIGHTS, KpiWeights
 
-__all__ = ["NetworkStateEstimate", "NetworkStateEstimator", "OnlineDynamicController", "run_online_experiment"]
+__all__ = ["NetworkStateEstimate", "NetworkStateEstimator"]
 
 
 @dataclass(frozen=True)
@@ -160,150 +140,3 @@ class NetworkStateEstimator:
             loss_rate=self._loss if self._loss is not None else 0.0,
             samples=self._samples,
         )
-
-
-class OnlineDynamicController:
-    """Per-interval reconfiguration from estimated network state."""
-
-    def __init__(
-        self,
-        predictor: ReliabilityPredictor,
-        performance_model: Optional[ProducerPerformanceModel] = None,
-        weights: KpiWeights = DEFAULT_WEIGHTS,
-        gamma_requirement: float = 0.95,
-        steps: Optional[ParameterSteps] = None,
-        hysteresis: float = 0.02,
-    ) -> None:
-        self.predictor = predictor
-        self.performance_model = (
-            performance_model
-            if performance_model is not None
-            else ProducerPerformanceModel()
-        )
-        self.weights = weights
-        self.gamma_requirement = gamma_requirement
-        self.steps = steps
-        self.hysteresis = hysteresis
-
-    def decide(
-        self,
-        estimate: NetworkStateEstimate,
-        stream: StreamProfile,
-        current: ProducerConfig,
-    ) -> ProducerConfig:
-        """Choose the next interval's configuration.
-
-        Keeps the current configuration when the estimator has too little
-        signal, or when the newly found optimum improves the predicted γ
-        by less than the hysteresis margin (a restart is not free).
-        """
-        if not estimate.confident:
-            return current
-        context = SelectionContext(
-            message_bytes=stream.mean_payload_bytes,
-            timeliness_s=stream.timeliness_s,
-            network_delay_s=estimate.delay_s,
-            loss_rate=estimate.loss_rate,
-        )
-        selection = select_configuration(
-            context,
-            self.predictor,
-            self.performance_model,
-            weights=self.weights,
-            gamma_requirement=self.gamma_requirement,
-            start=current,
-            steps=self.steps,
-        )
-        if selection.config == current:
-            return current
-        # Hysteresis against the *current* configuration evaluated under
-        # the same estimate: a restart must buy a real γ improvement.
-        try:
-            current_gamma = evaluate_config(
-                current, context, self.predictor, self.performance_model, self.weights
-            )
-        except KeyError:
-            current_gamma = float("-inf")
-        if selection.gamma < current_gamma + self.hysteresis:
-            return current
-        return selection.config
-
-
-def run_online_experiment(
-    trace: NetworkTrace,
-    stream: StreamProfile,
-    controller: OnlineDynamicController,
-    seed: int = 1,
-    start: Optional[ProducerConfig] = None,
-    reconfig_interval_s: float = 60.0,
-    messages_cap_per_interval: Optional[int] = None,
-) -> DynamicRunReport:
-    """Replay a trace with closed-loop (estimate → reconfigure) control.
-
-    Unlike :func:`~repro.kpi.dynamic.run_traced_experiment`, the network
-    state is **never** read from the trace by the controller: each
-    interval's experiment feeds the estimator with the producer-side
-    signals it produced, and the next interval's configuration comes from
-    the estimate alone.
-    """
-    estimator = NetworkStateEstimator(controller.performance_model)
-    config = start if start is not None else DEFAULT_PRODUCER_CONFIG
-    intervals: List[IntervalMeasurement] = []
-    stale: List[float] = []
-    time_s = 0.0
-    index = 0
-    while time_s < trace.duration_s:
-        point = trace.at(time_s)
-        producers = required_producers(config, stream)
-        per_producer_rate = stream.arrival_rate / producers
-        if config.polling_interval_s > 0:
-            effective_rate = min(per_producer_rate, 1.0 / config.polling_interval_s)
-        else:
-            effective_rate = per_producer_rate
-        shortfall = max(0.0, per_producer_rate - effective_rate) / per_producer_rate
-        count = int(round(effective_rate * reconfig_interval_s))
-        if messages_cap_per_interval is not None:
-            count = min(count, messages_cap_per_interval)
-        scenario = Scenario(
-            message_bytes=stream.mean_payload_bytes,
-            timeliness_s=stream.timeliness_s,
-            network_delay_s=point.delay_s,
-            loss_rate=point.loss_rate,
-            config=config,
-            message_count=max(10, count),
-            seed=seed + 101 * index,
-            bursty_loss=True,
-            arrival_rate=effective_rate,
-        )
-        experiment = Experiment(scenario)
-        result = experiment.run()
-        # Feed the estimator with what the producer could actually see.
-        forward = experiment.channel.stats("forward")
-        estimator.observe_transport(forward.segments_sent, forward.retransmissions)
-        # The per-interval minimum RTT filters out self-induced queueing,
-        # leaving propagation — the BBR-style estimate of path delay.
-        min_rtt = experiment.channel.minimum_rtt("forward")
-        if min_rtt is not None:
-            estimator.observe_rtt(
-                min_rtt, stream.mean_payload_bytes, config.batch_size
-            )
-        p_loss = min(1.0, result.p_loss * (1.0 - shortfall) + shortfall)
-        intervals.append(
-            IntervalMeasurement(
-                messages=stream.arrival_rate * reconfig_interval_s,
-                p_loss=p_loss,
-                p_duplicate=result.p_duplicate,
-            )
-        )
-        stale.append(result.p_stale)
-        config = controller.decide(estimator.estimate(), stream, config)
-        time_s += reconfig_interval_s
-        index += 1
-    rates = aggregate_rates(intervals)
-    return DynamicRunReport(
-        stream_name=stream.name,
-        policy="online",
-        intervals=intervals,
-        rates=rates,
-        mean_stale_fraction=sum(stale) / len(stale) if stale else 0.0,
-    )

@@ -346,15 +346,6 @@ class ReliabilityPredictor:
         """Number of measured rows available to the neighbour fallback."""
         return len(self._memory)
 
-    def _neighbour_distance(
-        self, vector: FeatureVector, candidate: FeatureVector
-    ) -> float:
-        total = 0.0
-        for name, scale in self._NEIGHBOUR_SCALES.items():
-            delta = (getattr(vector, name) - getattr(candidate, name)) / scale
-            total += delta * delta
-        return total
-
     def _neighbour_index(
         self, semantics: DeliverySemantics
     ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -362,7 +353,7 @@ class ReliabilityPredictor:
 
         Returns ``(features, p_loss, p_duplicate)`` where ``features`` has
         one column per :data:`_NEIGHBOUR_SCALES` entry and rows keep the
-        memory (insertion) order — the tie-breaking order of the scalar
+        memory (insertion) order — the tie-breaking order of a sequential
         scan.  Rebuilt lazily after every :meth:`invalidate_caches`.
         """
         cached = self._neighbour_index_cache.get(semantics.value, _UNBUILT)

@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.kafka import DEFAULT_PRODUCER_CONFIG, ProducerConfig
+from repro.kafka import DEFAULT_PRODUCER_CONFIG
 from repro.kpi import (
+    ConfigurationPlan,
+    DegradedModeController,
     KpiWeights,
-    OnlineDynamicController,
-    run_online_experiment,
     run_traced_experiment,
 )
 from repro.models import FeatureVector, ReliabilityEstimate
+from repro.models.predictor import FallbackEstimate
 from repro.network import NetworkTrace, TracePoint
 from repro.performance import ProducerPerformanceModel
 from repro.workloads import WEB_ACCESS_LOGS
@@ -24,6 +25,12 @@ class AnalyticPredictor:
         dup = 0.01 if vector.semantics.waits_for_ack else 0.0
         return ReliabilityEstimate(p_loss=loss, p_duplicate=dup)
 
+    def predict_with_fallback(self, vector: FeatureVector) -> FallbackEstimate:
+        return FallbackEstimate(self.predict_vector(vector), "ann")
+
+    def predict_with_fallback_batch(self, vectors):
+        return [self.predict_with_fallback(vector) for vector in vectors]
+
 
 @pytest.fixture
 def trace():
@@ -36,7 +43,7 @@ def trace():
 
 
 def make_controller(**kwargs):
-    return OnlineDynamicController(
+    return DegradedModeController(
         AnalyticPredictor(),
         ProducerPerformanceModel(),
         weights=KpiWeights.of(WEB_ACCESS_LOGS.kpi_weights),
@@ -46,9 +53,9 @@ def make_controller(**kwargs):
 
 
 def test_online_loop_runs_and_aggregates(trace):
-    report = run_online_experiment(
-        trace, WEB_ACCESS_LOGS, make_controller(),
-        reconfig_interval_s=30.0, messages_cap_per_interval=80, seed=5,
+    report = run_traced_experiment(
+        trace, WEB_ACCESS_LOGS, controller=make_controller(),
+        messages_cap_per_interval=80, seed=5,
     )
     assert report.policy == "online"
     assert len(report.intervals) == 4
@@ -61,23 +68,23 @@ def test_online_adapts_during_loss_episode(trace):
     decisions = []
     original = controller.decide
 
-    def spy(estimate, stream, current):
-        decided = original(estimate, stream, current)
-        decisions.append(decided.batch_size)
+    def spy(stream, current):
+        decided = original(stream, current)
+        decisions.append(decided.config.batch_size)
         return decided
 
     controller.decide = spy
-    run_online_experiment(
-        trace, WEB_ACCESS_LOGS, controller,
-        reconfig_interval_s=30.0, messages_cap_per_interval=80, seed=5,
+    run_traced_experiment(
+        trace, WEB_ACCESS_LOGS, controller=controller,
+        messages_cap_per_interval=80, seed=5,
     )
     assert max(decisions) > 1
 
 
 def test_online_no_worse_than_default_on_this_trace(trace):
-    online = run_online_experiment(
-        trace, WEB_ACCESS_LOGS, make_controller(),
-        reconfig_interval_s=30.0, messages_cap_per_interval=120, seed=7,
+    online = run_traced_experiment(
+        trace, WEB_ACCESS_LOGS, controller=make_controller(),
+        messages_cap_per_interval=120, seed=7,
     )
     default = run_traced_experiment(
         trace, WEB_ACCESS_LOGS, static_config=DEFAULT_PRODUCER_CONFIG,
@@ -86,11 +93,40 @@ def test_online_no_worse_than_default_on_this_trace(trace):
     assert online.rates.r_loss <= default.rates.r_loss + 0.05
 
 
-def test_online_respects_start_config(trace):
-    start = ProducerConfig(batch_size=3, message_timeout_s=2.0)
-    report = run_online_experiment(
-        trace, WEB_ACCESS_LOGS, make_controller(),
-        start=start, reconfig_interval_s=30.0,
+def test_online_report_weights_intervals_like_the_default(trace):
+    """Same workload, one dimension varied: only the policy differs."""
+    online = run_traced_experiment(
+        trace, WEB_ACCESS_LOGS, controller=make_controller(),
         messages_cap_per_interval=60, seed=9,
     )
-    assert len(report.intervals) == 4
+    default = run_traced_experiment(
+        trace, WEB_ACCESS_LOGS, static_config=DEFAULT_PRODUCER_CONFIG,
+        messages_cap_per_interval=60, seed=9,
+    )
+    assert len(online.intervals) == len(trace.points)
+    assert [m.messages for m in online.intervals] == [
+        m.messages for m in default.intervals
+    ]
+
+
+@pytest.mark.parametrize(
+    "names",
+    [
+        (),
+        ("plan", "static_config"),
+        ("static_config", "controller"),
+        ("plan", "controller"),
+        ("plan", "static_config", "controller"),
+    ],
+    ids=lambda names: "+".join(names) or "none",
+)
+def test_exactly_one_policy_required(trace, names):
+    policies = {
+        "plan": ConfigurationPlan(interval_s=30.0),
+        "static_config": DEFAULT_PRODUCER_CONFIG,
+        "controller": make_controller(),
+    }
+    with pytest.raises(ValueError):
+        run_traced_experiment(
+            trace, WEB_ACCESS_LOGS, **{name: policies[name] for name in names}
+        )

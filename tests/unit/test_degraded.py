@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chaos import flap_burst_schedule, run_campaign
 from repro.kafka.config import DEFAULT_PRODUCER_CONFIG
 from repro.kafka.semantics import DeliverySemantics
 from repro.kpi import (
@@ -9,6 +10,7 @@ from repro.kpi import (
     CircuitBreaker,
     DegradedModeController,
     IntervalObservation,
+    KpiWeights,
 )
 from repro.models.predictor import (
     CONSERVATIVE_ESTIMATE,
@@ -196,3 +198,23 @@ class TestDegradedModeController:
         decision = controller.decide(WEB_ACCESS_LOGS, DEFAULT_PRODUCER_CONFIG)
         assert decision.prediction_source in ("ann", "neighbour", "conservative")
         assert 0.0 <= decision.predicted_gamma <= 1.0
+
+
+class TestCampaignController:
+    def test_auto_built_controller_scores_with_the_stream_weights(self):
+        # The report scores measured γ with the stream's KPI weights; the
+        # controller run_campaign builds itself must predict on that scale.
+        schedule = flap_burst_schedule(seed=7)
+        auto = run_campaign(
+            schedule, stream=WEB_ACCESS_LOGS, policy="degraded", seed=7,
+            messages_cap_per_phase=60,
+        )
+        explicit = run_campaign(
+            schedule, stream=WEB_ACCESS_LOGS, policy="degraded", seed=7,
+            messages_cap_per_phase=60,
+            controller=DegradedModeController(
+                ReliabilityPredictor(),
+                weights=KpiWeights.of(WEB_ACCESS_LOGS.kpi_weights),
+            ),
+        )
+        assert auto.to_json() == explicit.to_json()

@@ -1,15 +1,16 @@
-"""Unit tests for the online estimator and controller."""
+"""Unit tests for the online estimator and the closed loop acting on it."""
 
 import pytest
 
 from repro.kafka import ProducerConfig
 from repro.kpi import (
+    DegradedModeController,
+    IntervalObservation,
     KpiWeights,
     NetworkStateEstimator,
-    OnlineDynamicController,
 )
-from repro.kpi.online import NetworkStateEstimate
 from repro.models import FeatureVector, ReliabilityEstimate
+from repro.models.predictor import FallbackEstimate
 from repro.performance import ProducerPerformanceModel
 from repro.workloads import WEB_ACCESS_LOGS
 
@@ -18,6 +19,30 @@ class StubPredictor:
     def predict_vector(self, vector: FeatureVector) -> ReliabilityEstimate:
         loss = min(1.0, vector.loss_rate * 3.0 / vector.batch_size)
         return ReliabilityEstimate(p_loss=loss, p_duplicate=0.0)
+
+    def predict_with_fallback(self, vector: FeatureVector) -> FallbackEstimate:
+        return FallbackEstimate(self.predict_vector(vector), "ann")
+
+    def predict_with_fallback_batch(self, vectors):
+        return [self.predict_with_fallback(vector) for vector in vectors]
+
+
+def observe(controller, loss_rate, intervals):
+    """Feed ``intervals`` healthy intervals whose requests and segments
+    needed retries at ``loss_rate`` (the estimator's loss signal)."""
+    retried = int(round(100 * loss_rate))
+    for _ in range(intervals):
+        controller.observe(
+            IntervalObservation(
+                requests_sent=100,
+                acknowledged=100,
+                request_retries=retried,
+                segments_sent=100,
+                retransmissions=retried,
+            ),
+            message_bytes=WEB_ACCESS_LOGS.mean_payload_bytes,
+            batch_size=1,
+        )
 
 
 class TestEstimator:
@@ -74,44 +99,43 @@ class TestEstimator:
 
 
 class TestController:
-    def make(self, **kwargs):
-        return OnlineDynamicController(
+    def make(self, gamma_requirement=0.95, **kwargs):
+        return DegradedModeController(
             StubPredictor(),
             ProducerPerformanceModel(),
             weights=KpiWeights.of(WEB_ACCESS_LOGS.kpi_weights),
-            gamma_requirement=0.95,
+            gamma_requirement=gamma_requirement,
             **kwargs,
         )
 
     def test_unconfident_estimate_keeps_config(self):
         controller = self.make()
         current = ProducerConfig(batch_size=1)
-        estimate = NetworkStateEstimate(delay_s=0.1, loss_rate=0.3, samples=1)
-        assert controller.decide(estimate, WEB_ACCESS_LOGS, current) is current
+        controller.estimator.observe_transport(segments_sent=100, retransmissions=30)
+        decision = controller.decide(WEB_ACCESS_LOGS, current)
+        assert decision.config is current
+        assert decision.reason == "insufficient_signal"
 
     def test_heavy_loss_triggers_batching(self):
         controller = self.make()
-        current = ProducerConfig(batch_size=1)
-        estimate = NetworkStateEstimate(delay_s=0.05, loss_rate=0.25, samples=10)
-        decided = controller.decide(estimate, WEB_ACCESS_LOGS, current)
-        assert decided.batch_size > 1
+        observe(controller, loss_rate=0.25, intervals=2)
+        decision = controller.decide(WEB_ACCESS_LOGS, ProducerConfig(batch_size=1))
+        assert decision.reason == "reconfigured"
+        assert decision.config.batch_size > 1
 
     def test_clean_network_keeps_config_when_requirement_met(self):
         # With a reachable requirement the search stops at the start
         # configuration (the paper's criterion: meet, don't maximise).
-        controller = OnlineDynamicController(
-            StubPredictor(),
-            ProducerPerformanceModel(),
-            weights=KpiWeights.of(WEB_ACCESS_LOGS.kpi_weights),
-            gamma_requirement=0.5,
-        )
-        current = ProducerConfig(batch_size=1)
-        estimate = NetworkStateEstimate(delay_s=0.005, loss_rate=0.0, samples=10)
-        decided = controller.decide(estimate, WEB_ACCESS_LOGS, current)
-        assert decided.batch_size == 1
+        controller = self.make(gamma_requirement=0.5)
+        observe(controller, loss_rate=0.0, intervals=2)
+        decision = controller.decide(WEB_ACCESS_LOGS, ProducerConfig(batch_size=1))
+        assert decision.config.batch_size == 1
+        assert not decision.changed
 
     def test_hysteresis_blocks_marginal_changes(self):
         controller = self.make(hysteresis=10.0)  # nothing can improve by 10
         current = ProducerConfig(batch_size=1)
-        estimate = NetworkStateEstimate(delay_s=0.05, loss_rate=0.25, samples=10)
-        assert controller.decide(estimate, WEB_ACCESS_LOGS, current) is current
+        observe(controller, loss_rate=0.25, intervals=2)
+        decision = controller.decide(WEB_ACCESS_LOGS, current)
+        assert decision.config is current
+        assert decision.reason == "held"
