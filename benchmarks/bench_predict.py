@@ -1,11 +1,14 @@
-"""Batched prediction fast path: search-round latency, scalar vs batched.
+"""Batched prediction path: search-round latency, scalar vs batched.
 
-Measures the perf claims of the batched-prediction PR and records them in
-``BENCH_predict.json`` at the repository root:
+Measures what the batched, memoised prediction path buys and records it
+in ``BENCH_predict.json`` at the repository root.  The scalar baseline
+is the test oracle (``tests/oracle.py``): one candidate at a time, one
+plain single-row forward pass each, no memo — what the predictor did
+before prediction was batched.
 
 1. **Cold search round** — the full 350-configuration candidate grid
    (:class:`ParameterSteps` product) scored for one fresh environment,
-   per-candidate ``evaluate_config`` loop vs one batched
+   per-candidate ``oracle.evaluate_config`` loop vs one batched
    ``evaluate_configs`` call.  The gate everywhere: batched must never
    exceed the scalar path.  (The cold ratio is bounded by the bitwise
    floor — a stacked per-row GEMV forward pass is what keeps batched
@@ -26,9 +29,11 @@ Measures the perf claims of the batched-prediction PR and records them in
 
 Every timed comparison also verifies bitwise identity: each batched γ
 equals its scalar counterpart, and the stepwise search selects the
-bit-identical configuration (same γ, steps and trace) on every interval.
+bit-identical configuration (same γ, steps and trace) as the oracle's
+one-probe-at-a-time walk on every interval.
 
-Run locally with the strict gate to (re)generate the committed artifact::
+Run from the repository root (so ``tests`` is importable) with the strict
+gate to (re)generate the committed artifact::
 
     BENCH_PREDICT_STRICT=1 PYTHONPATH=src python -m pytest -q -s \
         benchmarks/bench_predict.py
@@ -47,7 +52,6 @@ from repro.kafka import DeliverySemantics, ProducerConfig
 from repro.kpi.selection import (
     ParameterSteps,
     SelectionContext,
-    evaluate_config,
     evaluate_configs,
     select_configuration,
 )
@@ -60,6 +64,7 @@ from repro.performance import ProducerPerformanceModel
 from repro.testbed import ExperimentResult
 
 from conftest import write_report
+from tests import oracle
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_predict.json"
@@ -201,8 +206,8 @@ def test_batched_search_speedup_and_identity():
     contexts = _interval_contexts()
 
     # ---------------------------------------------------------- cold round
-    # Batched first: the scalar run afterwards inherits any shared warm
-    # state (load-ratio and performance-model memos), which can only make
+    # Batched first: the scalar oracle run afterwards inherits any shared
+    # warm state (load-ratio and performance-model memos), which can only make
     # the baseline faster — the reported ratios are conservative.
     cold_context = contexts[0]
     predictor.invalidate_caches()
@@ -213,14 +218,10 @@ def test_batched_search_speedup_and_identity():
 
     model_scalar = ProducerPerformanceModel()
     start = time.perf_counter()
-    scalar_cold = []
-    for config in grid:
-        try:
-            scalar_cold.append(
-                evaluate_config(config, cold_context, predictor, model_scalar)
-            )
-        except KeyError:
-            scalar_cold.append(None)
+    scalar_cold = [
+        oracle.evaluate_config(config, cold_context, predictor, model_scalar)
+        for config in grid
+    ]
     scalar_cold_s = time.perf_counter() - start
 
     assert batched_cold == scalar_cold, "cold grid γ values diverged"
@@ -235,14 +236,10 @@ def test_batched_search_speedup_and_identity():
     scalar_round_s = float("inf")
     for _ in range(round_repeats):
         start = time.perf_counter()
-        repeat = []
-        for config in grid:
-            try:
-                repeat.append(
-                    evaluate_config(config, cold_context, predictor, model_scalar)
-                )
-            except KeyError:
-                repeat.append(None)
+        repeat = [
+            oracle.evaluate_config(config, cold_context, predictor, model_scalar)
+            for config in grid
+        ]
         scalar_round_s = min(scalar_round_s, time.perf_counter() - start)
         assert repeat == scalar_cold
     batched_round_s = float("inf")
@@ -265,8 +262,7 @@ def test_batched_search_speedup_and_identity():
         )
         batched_selections.append(
             select_configuration(
-                context, predictor, model,
-                gamma_requirement=0.95, batched=True,
+                context, predictor, model, gamma_requirement=0.95,
             )
         )
     replan_batched_s = time.perf_counter() - start
@@ -275,19 +271,13 @@ def test_batched_search_speedup_and_identity():
     scalar_gammas, scalar_selections = [], []
     start = time.perf_counter()
     for context in contexts:
-        round_gammas = []
-        for config in grid:
-            try:
-                round_gammas.append(
-                    evaluate_config(config, context, predictor, model)
-                )
-            except KeyError:
-                round_gammas.append(None)
-        scalar_gammas.append(round_gammas)
+        scalar_gammas.append([
+            oracle.evaluate_config(config, context, predictor, model)
+            for config in grid
+        ])
         scalar_selections.append(
-            select_configuration(
-                context, predictor, model,
-                gamma_requirement=0.95, batched=False,
+            oracle.select_configuration(
+                oracle.gamma_of(context, predictor, model), gamma_requirement=0.95,
             )
         )
     replan_scalar_s = time.perf_counter() - start
@@ -373,7 +363,7 @@ def test_batched_search_speedup_and_identity():
     BENCH_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     lines = [
-        "Batched prediction fast path",
+        "Batched prediction path (scalar = test oracle)",
         f"  grid: {len(grid)} configs; re-plan {INTERVALS} intervals, "
         f"conditions change every {CHANGE_EVERY}",
         f"  cold round   scalar {scalar_cold_s * 1e3:7.1f} ms -> batched "

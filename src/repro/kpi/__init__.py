@@ -1,11 +1,13 @@
 """Weighted KPI (Eq. 2), configuration selection and dynamic configuration.
 
-``weighted_kpi`` evaluates Eq. 2; ``select_configuration`` performs the
-paper's stepwise search; ``DynamicConfigurationController`` generates the
-offline configuration file and ``run_traced_experiment`` replays it over
-a network trace, aggregating Eq. 3 into the Table II rates.  The same
-replay drives the online extension: ``DegradedModeController`` closes the
-loop from the ``NetworkStateEstimator``'s estimate of the network state.
+``weighted_kpi`` evaluates Eq. 2; ``evaluate_configs`` predicts the γ of
+candidate configurations through the predictor's batched path and
+``select_configuration`` performs the paper's stepwise search on it;
+``DynamicConfigurationController`` generates the offline configuration
+file and ``run_traced_experiment`` replays it over a network trace,
+aggregating Eq. 3 into the Table II rates.  The same replay drives the
+online extension: ``DegradedModeController`` closes the loop from the
+``NetworkStateEstimator``'s estimate of the network state.
 """
 
 from .aggregate import IntervalMeasurement, OverallRates, aggregate_rates
@@ -28,7 +30,7 @@ from .selection import (
     ParameterSteps,
     SelectionContext,
     SelectionResult,
-    evaluate_config,
+    evaluate_configs,
     scale_producers,
     select_configuration,
 )
@@ -53,7 +55,7 @@ __all__ = [
     "ParameterSteps",
     "SelectionContext",
     "SelectionResult",
-    "evaluate_config",
+    "evaluate_configs",
     "scale_producers",
     "select_configuration",
     "NetworkStateEstimate",

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -104,12 +104,8 @@ class ConfigurationPlan:
                     "producers": entry.producers,
                     "predicted_gamma": entry.predicted_gamma,
                     "config": {
+                        **asdict(entry.config),
                         "semantics": entry.config.semantics.value,
-                        "batch_size": entry.config.batch_size,
-                        "polling_interval_s": entry.config.polling_interval_s,
-                        "message_timeout_s": entry.config.message_timeout_s,
-                        "request_timeout_s": entry.config.request_timeout_s,
-                        "max_retries": entry.config.max_retries,
                     },
                 }
                 for entry in self.entries
@@ -119,7 +115,11 @@ class ConfigurationPlan:
 
     @classmethod
     def load(cls, path: "str | Path") -> "ConfigurationPlan":
-        """Read a plan saved with :meth:`save`."""
+        """Read a plan saved with :meth:`save`.
+
+        A config field missing from the file (plans written before every
+        field was saved) takes its :class:`ProducerConfig` default.
+        """
         payload = json.loads(Path(path).read_text())
         plan = cls(interval_s=payload["interval_s"])
         for entry in payload["entries"]:
@@ -328,17 +328,6 @@ class IntervalObservation:
             return None
         return self.acknowledged / self.requests_sent
 
-    @property
-    def broker_silent(self) -> bool:
-        """Requests went out but nothing came back — the outage signature.
-
-        The strict form (zero acknowledgements); interval-granularity
-        consumers like :class:`DegradedModeController` use a threshold on
-        :attr:`ack_ratio` instead, because an interval that straddles the
-        crash still contains a few pre-crash acknowledgements.
-        """
-        return self.ack_ratio == 0.0
-
 
 class CircuitBreaker:
     """Interval-granularity circuit breaker over broker reachability.
@@ -412,18 +401,18 @@ class DegradedDecision:
 
 
 class _FallbackPredictorView:
-    """Adapter exposing the predictor API through the fallback chain.
+    """Adapter answering ``predict_vectors`` through the fallback chain.
 
-    The stepwise search knows ``predict_vector`` (and uses the batched
-    ``predict_vectors`` when present); this view answers both via
-    :meth:`ReliabilityPredictor.predict_with_fallback`, so the search
-    never dies on an uncovered submodel, and records the worst fallback
-    tier it had to reach.
+    The stepwise search calls ``predict_vectors``; this view answers via
+    :meth:`ReliabilityPredictor.predict_with_fallback_batch`, so the
+    search never dies on an uncovered submodel, and records the worst
+    fallback tier it had to reach.
 
-    Note on ``worst_source``: the batched search may score candidates the
-    scalar walk would never probe, so the recorded worst tier can be
-    *worse* (never better) than under the scalar walk — any guard keyed
-    on it becomes strictly more conservative, never less.
+    Note on ``worst_source``: the search fetches candidates a whole axis
+    at a time, including some the walk never probes, so the recorded worst
+    tier can be *worse* (never better) than the tiers of the probed
+    candidates alone — any guard keyed on it becomes strictly more
+    conservative, never less.
     """
 
     _TIER_ORDER = {"ann": 0, "neighbour": 1, "conservative": 2}
@@ -436,16 +425,10 @@ class _FallbackPredictorView:
         if self._TIER_ORDER[source] > self._TIER_ORDER[self.worst_source]:
             self.worst_source = source
 
-    def predict_vector(self, vector: FeatureVector) -> ReliabilityEstimate:
-        fallback = self._predictor.predict_with_fallback(vector)
-        self._record(fallback.source)
-        return fallback.estimate
-
     def predict_vectors(
-        self, vectors: Sequence[FeatureVector], missing: str = "raise"
-    ) -> List[ReliabilityEstimate]:
-        # ``missing`` is accepted for API parity but irrelevant: the
-        # fallback chain covers every vector, so no slot is ever None.
+        self, vectors: Sequence[FeatureVector]
+    ) -> List[Optional[ReliabilityEstimate]]:
+        # The fallback chain covers every vector, so no slot is ever None.
         fallbacks = self._predictor.predict_with_fallback_batch(vectors)
         for fallback in fallbacks:
             self._record(fallback.source)

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..kafka.config import ProducerConfig
 from ..kafka.semantics import DeliverySemantics
 from ..models.features import FeatureVector
-from ..models.predictor import ReliabilityPredictor
+from ..models.predictor import ReliabilityEstimate, ReliabilityPredictor
 from ..performance.queueing import ProducerPerformanceModel
 from .weighted import DEFAULT_WEIGHTS, KpiWeights, kpi_from_estimates
 
@@ -28,7 +28,6 @@ __all__ = [
     "SelectionContext",
     "ParameterSteps",
     "SelectionResult",
-    "evaluate_config",
     "evaluate_configs",
     "select_configuration",
     "scale_producers",
@@ -82,44 +81,6 @@ class SelectionResult:
     trace: List[Tuple[str, float]] = field(default_factory=list)
 
 
-def evaluate_config(
-    config: ProducerConfig,
-    context: SelectionContext,
-    predictor: ReliabilityPredictor,
-    performance_model: ProducerPerformanceModel,
-    weights: KpiWeights = DEFAULT_WEIGHTS,
-) -> float:
-    """Predicted γ of one configuration in one environment."""
-    reliability = predictor.predict_vector(context.feature_vector(config))
-    performance = performance_model.predict(
-        config, context.message_bytes, context.network_delay_s
-    )
-    return kpi_from_estimates(performance, reliability, weights)
-
-
-def _predict_reliability_many(
-    predictor: ReliabilityPredictor, vectors: Sequence[FeatureVector]
-) -> List[Optional["object"]]:
-    """Reliability estimates for many vectors, ``None`` where uncovered.
-
-    Duck-typed: predictors exposing ``predict_vectors`` (the batched fast
-    path) serve the whole list with one forward pass per submodel group;
-    anything else — stubs, adapters wrapping only ``predict_vector`` —
-    falls back to the scalar loop with the same ``KeyError`` → ``None``
-    convention, so both shapes plug into the same callers.
-    """
-    batched = getattr(predictor, "predict_vectors", None)
-    if batched is not None:
-        return batched(vectors, missing="none")
-    estimates: List[Optional[object]] = []
-    for vector in vectors:
-        try:
-            estimates.append(predictor.predict_vector(vector))
-        except KeyError:
-            estimates.append(None)
-    return estimates
-
-
 def evaluate_configs(
     configs: Sequence[ProducerConfig],
     context: SelectionContext,
@@ -127,15 +88,12 @@ def evaluate_configs(
     performance_model: ProducerPerformanceModel,
     weights: KpiWeights = DEFAULT_WEIGHTS,
 ) -> List[Optional[float]]:
-    """Predicted γ for many configurations at once.
+    """Predicted γ of each configuration in one environment.
 
-    Entry ``i`` is bitwise-identical to
-    ``evaluate_config(configs[i], ...)``, or ``None`` where that call
-    would raise ``KeyError`` (no submodel covers the candidate).  When the
-    predictor exposes ``predict_vectors`` the reliability estimates come
-    from one vectorised forward pass per submodel group; predictors that
-    only implement ``predict_vector`` (stubs, adapters) fall back to the
-    scalar loop, so the call never changes behaviour — only cost.
+    Entry ``i`` is ``None`` where no submodel covers ``configs[i]``.  The
+    reliability estimates come from one
+    :meth:`ReliabilityPredictor.predict_vectors` call, so the network
+    runs one forward pass per submodel group.
 
     The performance model side is closed-form per candidate and memoised
     inside :meth:`ProducerPerformanceModel.predict`, so the repeated
@@ -143,7 +101,7 @@ def evaluate_configs(
     """
     configs = list(configs)
     vectors = [context.feature_vector(config) for config in configs]
-    estimates = _predict_reliability_many(predictor, vectors)
+    estimates = predictor.predict_vectors(vectors)
     gammas: List[Optional[float]] = []
     for config, reliability in zip(configs, estimates):
         if reliability is None:
@@ -165,7 +123,6 @@ def select_configuration(
     start: Optional[ProducerConfig] = None,
     steps: Optional[ParameterSteps] = None,
     max_rounds: int = 8,
-    batched: bool = True,
 ) -> SelectionResult:
     """Stepwise coordinate search until γ meets the requirement.
 
@@ -175,16 +132,12 @@ def select_configuration(
     coordinate.  The search exits as soon as the requirement is met (the
     paper's criterion) or when a full round makes no move.
 
-    With ``batched=True`` (the default) every coordinate scores its whole
-    candidate axis in one :func:`evaluate_configs` call and the walk then
-    *replays* the scalar decision sequence against the precomputed γ
-    values.  Because each γ is bitwise-identical to the scalar
-    ``evaluate_config`` result and the comparison sequence (direction
-    order, strict ``> γ + 1e-9`` improvement threshold, first-improvement
-    tie-breaking, early exit on the requirement) is untouched, the
-    returned configuration, γ, ``steps_taken`` and trace are all
-    bit-identical to ``batched=False`` — only the prediction cost drops
-    from one MLP forward pass per probe to one per (coordinate, round).
+    Reliability estimates are fetched in batches along each coordinate's
+    candidate axis (see ``reliability_at``), but the walk still probes one
+    neighbour at a time in a fixed order (``+1`` before ``-1``, strict
+    ``> γ + 1e-9`` improvement, first improvement wins, early exit on the
+    requirement).  Fetching a candidate the walk never probes changes
+    neither the configuration, the γ, ``steps_taken`` nor the trace.
     """
     steps = steps if steps is not None else ParameterSteps()
     config = start if start is not None else ProducerConfig()
@@ -221,13 +174,13 @@ def select_configuration(
             # coordinate, and with_() overwrites that field, so the axis
             # built from the entry config stays valid for the whole walk.
             axis_configs = [with_value(config, parameter, value) for value in values]
-            axis_estimates: Dict[int, Optional[object]] = {}
+            axis_estimates: Dict[int, Optional[ReliabilityEstimate]] = {}
 
-            def reliability_at(position: int) -> Optional[object]:
+            def reliability_at(position: int) -> Optional[ReliabilityEstimate]:
                 # Two-stage batched fetch.  The first request covers just
                 # the entry value's immediate neighbours — the only probes
                 # a non-moving coordinate ever makes, so a stuck walk pays
-                # for two candidates like the scalar path (in one call).
+                # for two candidates (in one call).
                 # The moment the walk wants anything more, the rest of the
                 # axis is fetched in a single grouped forward pass: a
                 # moving walk re-probes values step by step, and the batch
@@ -246,34 +199,22 @@ def select_configuration(
                     ]
                 if position not in wanted:
                     wanted.append(position)
-                fetched = _predict_reliability_many(
-                    predictor,
-                    [context.feature_vector(axis_configs[p]) for p in wanted],
+                fetched = predictor.predict_vectors(
+                    [context.feature_vector(axis_configs[p]) for p in wanted]
                 )
                 axis_estimates.update(zip(wanted, fetched))
                 return axis_estimates[position]
 
             def gamma_at(position: int) -> Optional[float]:
-                if batched:
-                    reliability = reliability_at(position)
-                    if reliability is None:
-                        return None  # no submodel for that semantics/region
-                    performance = performance_model.predict(
-                        axis_configs[position],
-                        context.message_bytes,
-                        context.network_delay_s,
-                    )
-                    return kpi_from_estimates(performance, reliability, weights)
-                try:
-                    return evaluate_config(
-                        axis_configs[position],
-                        context,
-                        predictor,
-                        performance_model,
-                        weights,
-                    )
-                except KeyError:
+                reliability = reliability_at(position)
+                if reliability is None:
                     return None  # no submodel for that semantics/region
+                performance = performance_model.predict(
+                    axis_configs[position],
+                    context.message_bytes,
+                    context.network_delay_s,
+                )
+                return kpi_from_estimates(performance, reliability, weights)
 
             improved = True
             while improved:

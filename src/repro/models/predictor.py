@@ -80,6 +80,14 @@ class ReliabilityEstimate:
 #: safest configurations rather than optimistic, brittle ones.
 CONSERVATIVE_ESTIMATE = ReliabilityEstimate(p_loss=0.5, p_duplicate=0.05)
 
+
+def _uncovered(vector: FeatureVector) -> KeyError:
+    region, semantics = vector.submodel_key
+    return KeyError(
+        f"no submodel trained for region={region!r}, semantics={semantics!r}"
+    )
+
+
 #: Sentinel distinguishing "index not built yet" from "built, but empty"
 #: (``None``) in the neighbour-index cache.
 _UNBUILT = object()
@@ -123,17 +131,12 @@ class SubModel:
         self.outputs = self.schema.output_columns(semantics)
 
     def predict_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Predict clipped outputs for pre-encoded feature rows."""
-        scaled = self.scaler.transform(rows)
-        return np.clip(self.network.predict(scaled), 0.0, 1.0)
+        """Clipped outputs for pre-encoded feature rows, one forward pass.
 
-    def predict_rows_batched(self, rows: np.ndarray) -> np.ndarray:
-        """One vectorised forward pass over many pre-encoded rows.
-
-        Row ``i`` of the result is bitwise-identical to
-        ``predict_rows(rows[i:i+1])[0]``: the scaler and the clip are
-        elementwise, and :meth:`Sequential.predict_rowwise` preserves
-        per-row GEMV accumulation order inside the network.
+        :meth:`Sequential.predict_rowwise` runs each row as its own GEMV,
+        and the scaler and the clip are elementwise, so a row's outputs do
+        not depend on which other rows share the batch — a memo hit and a
+        fresh computation return the same bits.
         """
         scaled = self.scaler.transform(rows)
         return np.clip(self.network.predict_rowwise(scaled), 0.0, 1.0)
@@ -301,26 +304,13 @@ class ReliabilityPredictor:
 
     # ---------------------------------------------------------- prediction
 
-    def submodel_for(self, vector: FeatureVector) -> SubModel:
-        """Look up the submodel responsible for ``vector``."""
-        key = vector.submodel_key
-        submodel = self.submodels.get(key)
-        if submodel is None:
-            raise KeyError(
-                f"no submodel trained for region={key[0]!r}, semantics={key[1]!r}"
-            )
-        return submodel
-
     def predict_vector(self, vector: FeatureVector) -> ReliabilityEstimate:
-        """Predict the reliability metrics for one feature vector."""
-        submodel = self.submodel_for(vector)
-        row = submodel.schema.encode(vector)[None, :]
-        outputs = submodel.predict_rows(row)[0]
-        named = dict(zip(submodel.outputs, outputs))
-        return ReliabilityEstimate(
-            p_loss=float(named.get("p_loss", 0.0)),
-            p_duplicate=float(named.get("p_duplicate", 0.0)),
-        )
+        """Predict one feature vector: :meth:`predict_vectors` on a batch
+        of one that raises ``KeyError`` when no submodel covers it."""
+        [estimate] = self.predict_vectors([vector])
+        if estimate is None:
+            raise _uncovered(vector)
+        return estimate
 
     def predict_scenario(self, scenario: Scenario) -> ReliabilityEstimate:
         """Predict for a testbed scenario (Eq. 1 with scenario inputs)."""
@@ -409,129 +399,91 @@ class ReliabilityPredictor:
             p_duplicate=min(1.0, max(0.0, float(p_duplicate[pick]))),
         )
 
-    def predict_with_fallback(self, vector: FeatureVector) -> FallbackEstimate:
-        """Predict through the degradation chain, never raising ``KeyError``.
+    # ----------------------------------------------------- batched passes
 
-        Tier 1 is the trained ANN submodel (the normal path).  When no
-        submodel covers the query, tier 2 answers with the measured result
-        nearest in feature space under the same semantics.  With no usable
-        memory either, tier 3 returns :data:`CONSERVATIVE_ESTIMATE` — a
-        pessimistic constant that steers any downstream configuration
-        search toward the safest settings.
+    def _ann_pass(
+        self, vectors: List[FeatureVector]
+    ) -> Tuple[List[Optional[FallbackEstimate]], List[Tuple], List[int]]:
+        """Memo probe, then one forward pass per submodel group.
+
+        Returns the answers (``None`` where no submodel covers the vector
+        and the memo has nothing), the memo keys, and the positions no
+        submodel covers.  Every ANN answer lands in the memo.
         """
-        try:
-            return FallbackEstimate(self.predict_vector(vector), "ann")
-        except KeyError:
-            pass
-        neighbour = self._nearest_neighbour(vector)
-        if neighbour is not None:
-            return FallbackEstimate(neighbour, "neighbour")
-        return FallbackEstimate(CONSERVATIVE_ESTIMATE, "conservative")
-
-    # ------------------------------------------------------- batched paths
-
-    def predict_vectors(
-        self,
-        vectors: Sequence[FeatureVector],
-        missing: str = "raise",
-    ) -> List[Optional[ReliabilityEstimate]]:
-        """Predict many feature vectors with one forward pass per submodel.
-
-        Vectors are grouped by submodel key (region × semantics) and each
-        group runs through :meth:`SubModel.predict_rows_batched`, so the
-        Python-level network overhead is paid once per group instead of
-        once per vector.  Entry ``i`` of the result is bitwise-identical
-        to ``predict_vector(vectors[i])``.
-
-        ``missing`` controls uncovered vectors: ``"raise"`` (default)
-        raises the same ``KeyError`` as the scalar path; ``"none"`` leaves
-        ``None`` in that slot so callers can chain into the fallback tiers.
-        """
-        if missing not in ("raise", "none"):
-            raise ValueError(f"unknown missing policy {missing!r}")
-        vectors = list(vectors)
-        out: List[Optional[ReliabilityEstimate]] = [None] * len(vectors)
-        keys: List[Optional[Tuple]] = [None] * len(vectors)
+        answers: List[Optional[FallbackEstimate]] = [None] * len(vectors)
+        keys: List[Tuple] = []
         pending: Dict[Tuple[str, str], List[int]] = {}
+        uncovered: List[int] = []
         for i, vector in enumerate(vectors):
             # The first two key elements ARE the submodel key, so one
             # quantised_key() call covers both routing and the memo probe.
             quantised = vector.quantised_key()
-            keys[i] = quantised
-            cached = self._memo_get(quantised)
-            if cached is not None and cached.source == "ann":
-                # An "ann" memo entry implies the submodel existed when it
-                # was stored, and fit() invalidates the memo — so the
-                # coverage check can be skipped on a hit.
-                out[i] = cached.estimate
-                continue
-            key = quantised[:2]
-            if key not in self.submodels:
-                if missing == "raise":
-                    raise KeyError(
-                        f"no submodel trained for region={key[0]!r}, "
-                        f"semantics={key[1]!r}"
-                    )
-                continue
-            pending.setdefault(key, []).append(i)
-        for key, indices in pending.items():
-            submodel = self.submodels[key]
-            rows = submodel.schema.encode_many([vectors[i] for i in indices])
-            outputs = submodel.predict_rows_batched(rows)
-            for slot, i in enumerate(indices):
-                estimate = submodel.estimate_from_outputs(outputs[slot])
-                out[i] = estimate
-                self._memo_put(keys[i], FallbackEstimate(estimate, "ann"))
-        return out
-
-    def predict_with_fallback_batch(
-        self, vectors: Sequence[FeatureVector]
-    ) -> List[FallbackEstimate]:
-        """Batched :meth:`predict_with_fallback`: never raises ``KeyError``.
-
-        Entry ``i`` is bitwise-identical to
-        ``predict_with_fallback(vectors[i])`` — covered vectors share one
-        vectorised forward pass per submodel, uncovered ones take the
-        numpy nearest-neighbour tier, and everything lands in the
-        quantised-feature memo so repeated queries (hill-climb search
-        revisiting the same candidates round after round) are O(1).
-        """
-        vectors = list(vectors)
-        out: List[Optional[FallbackEstimate]] = [None] * len(vectors)
-        keys: List[Optional[Tuple]] = [None] * len(vectors)
-        pending: Dict[Tuple[str, str], List[int]] = {}
-        uncovered: List[int] = []
-        for i, vector in enumerate(vectors):
-            quantised = vector.quantised_key()
-            keys[i] = quantised
+            keys.append(quantised)
             cached = self._memo_get(quantised)
             if cached is not None:
-                out[i] = cached
-                continue
-            key = quantised[:2]
-            if key in self.submodels:
-                pending.setdefault(key, []).append(i)
+                answers[i] = cached
+            elif quantised[:2] in self.submodels:
+                pending.setdefault(quantised[:2], []).append(i)
             else:
                 uncovered.append(i)
         for key, indices in pending.items():
             submodel = self.submodels[key]
             rows = submodel.schema.encode_many([vectors[i] for i in indices])
-            outputs = submodel.predict_rows_batched(rows)
+            outputs = submodel.predict_rows(rows)
             for slot, i in enumerate(indices):
-                result = FallbackEstimate(
+                answer = FallbackEstimate(
                     submodel.estimate_from_outputs(outputs[slot]), "ann"
                 )
-                out[i] = result
-                self._memo_put(keys[i], result)
+                answers[i] = answer
+                self._memo_put(keys[i], answer)
+        return answers, keys, uncovered
+
+    def predict_vectors(
+        self, vectors: Sequence[FeatureVector]
+    ) -> List[Optional[ReliabilityEstimate]]:
+        """Predict many feature vectors with one forward pass per submodel.
+
+        Vectors are grouped by submodel key (region × semantics) and each
+        group runs through :meth:`SubModel.predict_rows`, so the
+        Python-level network overhead is paid once per group instead of
+        once per vector.  Entry ``i`` is ``None`` where no submodel covers
+        ``vectors[i]``, so callers can chain into the fallback tiers.
+        """
+        answers, _, _ = self._ann_pass(list(vectors))
+        # A memoised fallback-tier answer means no submodel covers the key:
+        # fit() clears the memo whenever the submodels change.
+        return [
+            answer.estimate if answer is not None and answer.source == "ann" else None
+            for answer in answers
+        ]
+
+    def predict_with_fallback_batch(
+        self, vectors: Sequence[FeatureVector]
+    ) -> List[FallbackEstimate]:
+        """Predict through the degradation chain, never raising ``KeyError``.
+
+        Tier 1 is the trained ANN submodel (the normal path), shared with
+        :meth:`predict_vectors`.  When no submodel covers a query, tier 2
+        answers with the measured result nearest in feature space under
+        the same semantics.  With no usable memory either, tier 3 returns
+        :data:`CONSERVATIVE_ESTIMATE` — a pessimistic constant that steers
+        any downstream configuration search toward the safest settings.
+        Every answer lands in the quantised-feature memo, so repeated
+        queries (hill-climb search revisiting the same candidates round
+        after round) are O(1).
+        """
+        vectors = list(vectors)
+        answers, keys, uncovered = self._ann_pass(vectors)
         for i in uncovered:
             neighbour = self._nearest_neighbour(vectors[i])
             if neighbour is not None:
-                result = FallbackEstimate(neighbour, "neighbour")
+                answer = FallbackEstimate(neighbour, "neighbour")
             else:
-                result = FallbackEstimate(CONSERVATIVE_ESTIMATE, "conservative")
-            out[i] = result
-            self._memo_put(keys[i], result)
-        return out
+                answer = FallbackEstimate(CONSERVATIVE_ESTIMATE, "conservative")
+            answers[i] = answer
+            self._memo_put(keys[i], answer)
+        # Every slot is filled now: memo, ANN, neighbour or conservative.
+        return [answer for answer in answers if answer is not None]
 
     # ---------------------------------------------------------- evaluation
 
@@ -544,9 +496,11 @@ class ReliabilityPredictor:
         reports as "below 0.02".
         """
         errors: Dict[str, List[float]] = {"p_loss": [], "p_duplicate": []}
-        for result in results:
-            vector = FeatureVector.from_result(result)
-            estimate = self.predict_vector(vector)
+        vectors = [FeatureVector.from_result(result) for result in results]
+        estimates = self.predict_vectors(vectors)
+        for result, vector, estimate in zip(results, vectors, estimates):
+            if estimate is None:
+                raise _uncovered(vector)
             errors["p_loss"].append(abs(estimate.p_loss - result.p_loss))
             if vector.semantics is not DeliverySemantics.AT_MOST_ONCE:
                 errors["p_duplicate"].append(

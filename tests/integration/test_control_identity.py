@@ -62,18 +62,20 @@ class AnalyticPredictor:
     on the conservative tier).
     """
 
-    def predict_vector(self, vector: FeatureVector) -> ReliabilityEstimate:
-        loss = min(
-            1.0, (vector.loss_rate * 2.5 + vector.network_delay_s) / vector.batch_size
-        )
-        duplicate = 0.01 if vector.semantics.waits_for_ack else 0.0
-        return ReliabilityEstimate(p_loss=loss, p_duplicate=duplicate)
-
-    def predict_with_fallback(self, vector: FeatureVector) -> FallbackEstimate:
-        return FallbackEstimate(self.predict_vector(vector), "ann")
+    def predict_vectors(self, vectors: List[FeatureVector]) -> List[ReliabilityEstimate]:
+        estimates = []
+        for vector in vectors:
+            loss = min(
+                1.0, (vector.loss_rate * 2.5 + vector.network_delay_s) / vector.batch_size
+            )
+            duplicate = 0.01 if vector.semantics.waits_for_ack else 0.0
+            estimates.append(ReliabilityEstimate(p_loss=loss, p_duplicate=duplicate))
+        return estimates
 
     def predict_with_fallback_batch(self, vectors) -> List[FallbackEstimate]:
-        return [self.predict_with_fallback(vector) for vector in vectors]
+        return [
+            FallbackEstimate(estimate, "ann") for estimate in self.predict_vectors(vectors)
+        ]
 
 
 TRACE = NetworkTrace(

@@ -9,7 +9,7 @@ from repro.kpi import (
     KpiWeights,
     run_traced_experiment,
 )
-from repro.models import FeatureVector, ReliabilityEstimate
+from repro.models import ReliabilityEstimate
 from repro.models.predictor import FallbackEstimate
 from repro.network import NetworkTrace, TracePoint
 from repro.performance import ProducerPerformanceModel
@@ -20,16 +20,16 @@ class AnalyticPredictor:
     """Loss grows with loss rate, shrinks with batching — enough structure
     for the controller to make sensible moves without ANN training."""
 
-    def predict_vector(self, vector: FeatureVector) -> ReliabilityEstimate:
-        loss = min(1.0, (vector.loss_rate * 2.5 + vector.network_delay_s) / vector.batch_size)
-        dup = 0.01 if vector.semantics.waits_for_ack else 0.0
-        return ReliabilityEstimate(p_loss=loss, p_duplicate=dup)
-
-    def predict_with_fallback(self, vector: FeatureVector) -> FallbackEstimate:
-        return FallbackEstimate(self.predict_vector(vector), "ann")
+    def predict_vectors(self, vectors):
+        estimates = []
+        for vector in vectors:
+            loss = min(1.0, (vector.loss_rate * 2.5 + vector.network_delay_s) / vector.batch_size)
+            dup = 0.01 if vector.semantics.waits_for_ack else 0.0
+            estimates.append(ReliabilityEstimate(p_loss=loss, p_duplicate=dup))
+        return estimates
 
     def predict_with_fallback_batch(self, vectors):
-        return [self.predict_with_fallback(vector) for vector in vectors]
+        return [FallbackEstimate(estimate, "ann") for estimate in self.predict_vectors(vectors)]
 
 
 @pytest.fixture

@@ -86,22 +86,15 @@ class TestIntervalObservation:
     def test_no_signal_yields_none(self):
         nothing_sent = IntervalObservation(requests_sent=0, acknowledged=0)
         assert nothing_sent.ack_ratio is None
-        assert not nothing_sent.broker_silent
         fire_and_forget = IntervalObservation(
             requests_sent=50, acknowledged=0, waits_for_ack=False
         )
         assert fire_and_forget.ack_ratio is None
-        assert not fire_and_forget.broker_silent
-
-    def test_broker_silent_is_strict_zero(self):
-        dead = IntervalObservation(requests_sent=50, acknowledged=0)
-        assert dead.broker_silent
-        assert not SILENT.broker_silent
 
 
 class TestFallbackChain:
     def test_untrained_predictor_is_conservative(self):
-        fallback = ReliabilityPredictor().predict_with_fallback(make_vector())
+        [fallback] = ReliabilityPredictor().predict_with_fallback_batch([make_vector()])
         assert fallback.source == "conservative"
         assert fallback.degraded
         assert fallback.estimate == CONSERVATIVE_ESTIMATE
@@ -110,7 +103,7 @@ class TestFallbackChain:
         predictor = ReliabilityPredictor()
         result = run_experiment(Scenario(message_count=60, seed=3))
         predictor.remember([result])
-        fallback = predictor.predict_with_fallback(make_vector())
+        [fallback] = predictor.predict_with_fallback_batch([make_vector()])
         assert fallback.source == "neighbour"
         assert fallback.degraded
         assert fallback.estimate.p_loss == pytest.approx(
@@ -121,8 +114,8 @@ class TestFallbackChain:
         predictor = ReliabilityPredictor()
         result = run_experiment(Scenario(message_count=60, seed=3))
         predictor.remember([result])
-        fallback = predictor.predict_with_fallback(
-            make_vector(semantics=DeliverySemantics.EXACTLY_ONCE)
+        [fallback] = predictor.predict_with_fallback_batch(
+            [make_vector(semantics=DeliverySemantics.EXACTLY_ONCE)]
         )
         assert fallback.source == "conservative"
 

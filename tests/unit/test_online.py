@@ -9,22 +9,24 @@ from repro.kpi import (
     KpiWeights,
     NetworkStateEstimator,
 )
-from repro.models import FeatureVector, ReliabilityEstimate
+from repro.models import ReliabilityEstimate
 from repro.models.predictor import FallbackEstimate
 from repro.performance import ProducerPerformanceModel
 from repro.workloads import WEB_ACCESS_LOGS
 
 
 class StubPredictor:
-    def predict_vector(self, vector: FeatureVector) -> ReliabilityEstimate:
-        loss = min(1.0, vector.loss_rate * 3.0 / vector.batch_size)
-        return ReliabilityEstimate(p_loss=loss, p_duplicate=0.0)
-
-    def predict_with_fallback(self, vector: FeatureVector) -> FallbackEstimate:
-        return FallbackEstimate(self.predict_vector(vector), "ann")
+    def predict_vectors(self, vectors):
+        return [
+            ReliabilityEstimate(
+                p_loss=min(1.0, vector.loss_rate * 3.0 / vector.batch_size),
+                p_duplicate=0.0,
+            )
+            for vector in vectors
+        ]
 
     def predict_with_fallback_batch(self, vectors):
-        return [self.predict_with_fallback(vector) for vector in vectors]
+        return [FallbackEstimate(estimate, "ann") for estimate in self.predict_vectors(vectors)]
 
 
 def observe(controller, loss_rate, intervals):

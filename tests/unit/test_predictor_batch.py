@@ -1,10 +1,10 @@
-"""Batched prediction fast path: bitwise identity and memo hygiene.
+"""Batched prediction path: bitwise identity and memo hygiene.
 
-The batched APIs (`predict_vectors`, `predict_with_fallback_batch`) are a
-pure performance feature — every estimate they return must be *bitwise*
-identical to the scalar calls, across both Fig. 3 regions, all three
-delivery semantics and every tier of the degraded fallback chain.  The
-quantised-key memo must never serve a stale entry after `fit()` or
+Every estimate `predict_vectors` and `predict_with_fallback_batch` return
+must be *bitwise* identical to the scalar oracle (`tests/oracle.py`: one
+row, one plain forward pass, no memo), across both Fig. 3 regions, all
+three delivery semantics and every tier of the degraded fallback chain.
+The quantised-key memo must never serve a stale entry after `fit()` or
 `remember()` changes what the predictor knows.
 """
 
@@ -20,6 +20,8 @@ from repro.models import (
     TrainingSettings,
 )
 from repro.testbed import ExperimentResult
+
+from .. import oracle
 
 SEMANTICS = [
     DeliverySemantics.AT_MOST_ONCE,
@@ -128,12 +130,16 @@ def partial_predictor():
 
 class TestBatchedIdentity:
     def test_predict_vectors_bitwise_equals_scalar(self, full_predictor):
+        full_predictor.invalidate_caches()
         vectors = query_grid()
         batched = full_predictor.predict_vectors(vectors)
+        regions = set()
         for vector, estimate in zip(vectors, batched):
-            scalar = full_predictor.predict_vector(vector)
+            scalar = oracle.predict(full_predictor, vector)
             assert estimate.p_loss == scalar.p_loss, vector
             assert estimate.p_duplicate == scalar.p_duplicate, vector
+            regions.add(vector.submodel_key)
+        assert len(regions) == 6  # both regions x all three semantics
 
     def test_second_pass_serves_from_memo_identically(self, full_predictor):
         vectors = query_grid(seed=11, count=40)
@@ -155,13 +161,32 @@ class TestBatchedIdentity:
             polling_interval_s=0.0,
             message_timeout_s=1.5,
         )
+        assert partial_predictor.predict_vectors([uncovered]) == [None]
         with pytest.raises(KeyError):
-            partial_predictor.predict_vectors([uncovered])
-        assert partial_predictor.predict_vectors([uncovered], missing="none") == [None]
+            partial_predictor.predict_vector(uncovered)
+        # A fallback-tier answer in the memo is still "not covered".
+        partial_predictor.predict_with_fallback_batch([uncovered])
+        assert partial_predictor.predict_vectors([uncovered]) == [None]
+        with pytest.raises(KeyError):
+            partial_predictor.predict_vector(uncovered)
 
-    def test_missing_mode_validated(self, full_predictor):
-        with pytest.raises(ValueError):
-            full_predictor.predict_vectors([], missing="quietly")
+    def test_single_vector_and_evaluate_match_oracle(self, full_predictor):
+        full_predictor.invalidate_caches()
+        vector = query_grid(seed=5, count=1)[0]
+        scalar = oracle.predict(full_predictor, vector)
+        assert full_predictor.predict_vector(vector) == scalar
+        rows = training_rows(DeliverySemantics.AT_LEAST_ONCE, "abnormal", seed=41)
+        rows += training_rows(DeliverySemantics.AT_MOST_ONCE, "normal", seed=43)
+        losses, duplicates = [], []
+        for row in rows:
+            estimate = oracle.predict(full_predictor, FeatureVector.from_result(row))
+            losses.append(abs(estimate.p_loss - row.p_loss))
+            if row.semantics != "at_most_once":
+                duplicates.append(abs(estimate.p_duplicate - row.p_duplicate))
+        report = full_predictor.evaluate(rows)
+        assert report["p_loss"] == float(np.mean(losses))
+        assert report["p_duplicate"] == float(np.mean(duplicates))
+        assert report["overall"] == float(np.mean(losses + duplicates))
 
 
 class TestFallbackChainIdentity:
@@ -170,7 +195,7 @@ class TestFallbackChainIdentity:
         batched = partial_predictor.predict_with_fallback_batch(vectors)
         sources = set()
         for vector, fallback in zip(vectors, batched):
-            scalar = partial_predictor.predict_with_fallback(vector)
+            scalar = oracle.predict_with_fallback(partial_predictor, vector)
             assert fallback.source == scalar.source, vector
             assert fallback.estimate.p_loss == scalar.estimate.p_loss
             assert fallback.estimate.p_duplicate == scalar.estimate.p_duplicate
@@ -226,7 +251,7 @@ class TestMemoInvalidation:
         )
         [after] = predictor.predict_with_fallback_batch([query])
         assert after.estimate.p_loss == 0.05
-        scalar = predictor.predict_with_fallback(query)
+        scalar = oracle.predict_with_fallback(predictor, query)
         assert after.estimate.p_loss == scalar.estimate.p_loss
 
     def test_fit_invalidates_memo(self):
@@ -242,7 +267,7 @@ class TestMemoInvalidation:
         assert covered
         predictor.predict_vectors(covered)
         # Refit with a shifted target function; predictions must all track
-        # the new model — bitwise equal to the (unmemoised) scalar path.
+        # the new model — bitwise equal to the (unmemoised) scalar oracle.
         rows_b = [
             dataclasses.replace(r, p_loss=min(1.0, r.p_loss + 0.3))
             for r in rows_a
@@ -250,7 +275,7 @@ class TestMemoInvalidation:
         predictor.fit(rows_b, FAST)
         batched = predictor.predict_vectors(covered)
         for vector, estimate in zip(covered, batched):
-            scalar = predictor.predict_vector(vector)
+            scalar = oracle.predict(predictor, vector)
             assert estimate.p_loss == scalar.p_loss
             assert estimate.p_duplicate == scalar.p_duplicate
 

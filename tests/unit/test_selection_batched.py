@@ -1,10 +1,11 @@
 """Batched configuration search: must be bit-identical to the scalar walk.
 
-`select_configuration(batched=True)` replays the exact scalar decision
-sequence against γ values computed by grouped forward passes, so the
-chosen configuration, γ, step count and trace must match the scalar path
-bit for bit on every grid point — the batching is invisible except in
-cost.
+`select_configuration` fetches reliability estimates a whole candidate
+axis at a time through `predict_vectors`, but the configuration, γ, step
+count and trace it returns must match the scalar oracle
+(`tests/oracle.py`), which scores one probe at a time with one plain
+forward pass each, bit for bit on every context — the batching is
+invisible except in cost.
 """
 
 import numpy as np
@@ -12,10 +13,12 @@ import pytest
 
 from repro.kafka import DeliverySemantics, ProducerConfig
 from repro.kpi import SelectionContext, select_configuration
-from repro.kpi.selection import evaluate_config, evaluate_configs, ParameterSteps
-from repro.models import ReliabilityPredictor, TrainingSettings
+from repro.kpi.selection import evaluate_configs, ParameterSteps
+from repro.kpi.weighted import kpi_from_estimates
+from repro.models import ReliabilityEstimate, ReliabilityPredictor, TrainingSettings
 from repro.performance import ProducerPerformanceModel
 
+from .. import oracle
 from .test_predictor_batch import SEMANTICS, training_rows
 
 
@@ -63,15 +66,25 @@ class TestEvaluateConfigs:
         ]
         gammas = evaluate_configs(configs, context, predictor, model)
         for config, gamma in zip(configs, gammas):
-            assert gamma == evaluate_config(config, context, predictor, model)
+            assert gamma is not None
+            assert gamma == oracle.evaluate_config(config, context, predictor, model)
 
     def test_uncovered_config_yields_none(self, predictor):
         model = ProducerPerformanceModel()
         context = contexts(1)[0]
         uncovered = ProducerConfig(semantics=DeliverySemantics.EXACTLY_ONCE)
         assert evaluate_configs([uncovered], context, predictor, model) == [None]
-        with pytest.raises(KeyError):
-            evaluate_config(uncovered, context, predictor, model)
+        assert oracle.evaluate_config(uncovered, context, predictor, model) is None
+
+
+def same_outcome(left, right):
+    return (
+        left.config == right.config
+        and left.gamma == right.gamma
+        and left.met_requirement == right.met_requirement
+        and left.steps_taken == right.steps_taken
+        and left.trace == right.trace
+    )
 
 
 class TestBatchedSearchIdentity:
@@ -82,42 +95,54 @@ class TestBatchedSearchIdentity:
         model = ProducerPerformanceModel()
         for context in contexts():
             batched = select_configuration(
-                context, predictor, model,
-                gamma_requirement=gamma_requirement, batched=True,
+                context, predictor, model, gamma_requirement=gamma_requirement,
             )
-            scalar = select_configuration(
-                context, predictor, model,
-                gamma_requirement=gamma_requirement, batched=False,
+            oracle_backed = select_configuration(
+                context, oracle.OraclePredictor(predictor), model,
+                gamma_requirement=gamma_requirement,
             )
-            assert batched.config == scalar.config, context
-            assert batched.gamma == scalar.gamma
-            assert batched.met_requirement == scalar.met_requirement
-            assert batched.steps_taken == scalar.steps_taken
-            assert batched.trace == scalar.trace
+            scalar = oracle.select_configuration(
+                oracle.gamma_of(context, predictor, model),
+                gamma_requirement=gamma_requirement,
+            )
+            assert same_outcome(batched, oracle_backed), context
+            assert same_outcome(batched, scalar), context
 
-    def test_scalar_only_stub_predictor_still_works(self):
+    def test_stub_predictor_matches_scalar_walk(self):
         class StubPredictor:
-            def predict_vector(self, vector):
-                from repro.models import ReliabilityEstimate
-
-                if vector.semantics is DeliverySemantics.EXACTLY_ONCE:
-                    raise KeyError("no submodel")
-                return ReliabilityEstimate(
-                    p_loss=min(1.0, vector.loss_rate * 3.0 / vector.batch_size),
-                    p_duplicate=0.0,
-                )
+            def predict_vectors(self, vectors):
+                return [
+                    None
+                    if vector.semantics is DeliverySemantics.EXACTLY_ONCE
+                    else ReliabilityEstimate(
+                        p_loss=min(1.0, vector.loss_rate * 3.0 / vector.batch_size),
+                        p_duplicate=0.0,
+                    )
+                    for vector in vectors
+                ]
 
         model = ProducerPerformanceModel()
         context = SelectionContext(
             message_bytes=200, timeliness_s=10.0,
             network_delay_s=0.3, loss_rate=0.1,
         )
+        # Exactly-once is a candidate the stub cannot score: both walks skip it.
+        steps = ParameterSteps(semantics=tuple(DeliverySemantics))
+
+        def score(config):
+            [reliability] = StubPredictor().predict_vectors([context.feature_vector(config)])
+            if reliability is None:
+                return None
+            performance = model.predict(
+                config, context.message_bytes, context.network_delay_s
+            )
+            return kpi_from_estimates(performance, reliability)
+
         batched = select_configuration(
-            context, StubPredictor(), model, gamma_requirement=0.9, batched=True
+            context, StubPredictor(), model, gamma_requirement=0.9, steps=steps
         )
-        scalar = select_configuration(
-            context, StubPredictor(), model, gamma_requirement=0.9, batched=False
+        scalar = oracle.select_configuration(
+            score, gamma_requirement=0.9, steps=steps
         )
-        assert batched.config == scalar.config
-        assert batched.gamma == scalar.gamma
-        assert batched.trace == scalar.trace
+        assert batched.steps_taken > 0
+        assert same_outcome(batched, scalar)

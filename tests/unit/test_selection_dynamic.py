@@ -4,6 +4,9 @@ These use a stub predictor so the selection logic is tested in isolation
 from ANN training.
 """
 
+import json
+from typing import List
+
 import pytest
 
 from repro.kafka import DeliverySemantics, ProducerConfig
@@ -12,8 +15,9 @@ from repro.kpi import (
     DynamicConfigurationController,
     KpiWeights,
     ParameterSteps,
+    PARKED_CONFIG,
     SelectionContext,
-    evaluate_config,
+    evaluate_configs,
     required_producers,
     select_configuration,
 )
@@ -27,10 +31,13 @@ from repro.workloads import GAME_TRAFFIC, WEB_ACCESS_LOGS
 class StubPredictor:
     """Analytic stand-in: loss falls with batch size, rises with loss rate."""
 
-    def predict_vector(self, vector: FeatureVector) -> ReliabilityEstimate:
-        base = min(1.0, vector.loss_rate * 3.0 / vector.batch_size)
-        duplicate = 0.02 / vector.batch_size if vector.semantics.waits_for_ack else 0.0
-        return ReliabilityEstimate(p_loss=base, p_duplicate=min(1.0, duplicate))
+    def predict_vectors(self, vectors: List[FeatureVector]) -> List[ReliabilityEstimate]:
+        estimates = []
+        for vector in vectors:
+            base = min(1.0, vector.loss_rate * 3.0 / vector.batch_size)
+            duplicate = 0.02 / vector.batch_size if vector.semantics.waits_for_ack else 0.0
+            estimates.append(ReliabilityEstimate(p_loss=base, p_duplicate=min(1.0, duplicate)))
+        return estimates
 
 
 @pytest.fixture
@@ -47,19 +54,19 @@ def performance_model():
 
 class TestEvaluateConfig:
     def test_gamma_in_unit_interval(self, context, performance_model):
-        gamma = evaluate_config(
-            ProducerConfig(), context, StubPredictor(), performance_model
+        [gamma] = evaluate_configs(
+            [ProducerConfig()], context, StubPredictor(), performance_model
         )
         assert 0.0 <= gamma <= 1.0
 
     def test_batching_improves_gamma_under_loss(self, context, performance_model):
         weights = KpiWeights(0.1, 0.1, 0.7, 0.1)
-        single = evaluate_config(
-            ProducerConfig(batch_size=1), context, StubPredictor(), performance_model, weights
-        )
-        batched = evaluate_config(
-            ProducerConfig(batch_size=8), context, StubPredictor(), performance_model, weights
-        )
+        single = evaluate_configs(
+            [ProducerConfig(batch_size=1)], context, StubPredictor(), performance_model, weights
+        )[0]
+        batched = evaluate_configs(
+            [ProducerConfig(batch_size=8)], context, StubPredictor(), performance_model, weights
+        )[0]
         assert batched > single
 
 
@@ -163,6 +170,45 @@ class TestConfigurationPlan:
         assert loaded.interval_s == 60.0
         assert loaded.at(70.0).config.semantics is DeliverySemantics.AT_MOST_ONCE
         assert loaded.at(70.0).config.batch_size == 6
+
+    def test_save_load_round_trips_every_config_field(self, tmp_path):
+        plan = ConfigurationPlan(interval_s=30.0)
+        every_field = PARKED_CONFIG.with_(max_in_flight=1, linger_s=0.0, queue_capacity=64)
+        plan.entries.append(ConfigPlanEntry(0.0, PARKED_CONFIG, 1, 0.5))
+        plan.entries.append(ConfigPlanEntry(30.0, every_field, 3, 0.7))
+        path = tmp_path / "dynamic_conf.json"
+        plan.save(path)
+        loaded = ConfigurationPlan.load(path)
+        assert [entry.config for entry in loaded.entries] == [PARKED_CONFIG, every_field]
+        assert loaded.entries[0].config.retry_backoff_s == 0.1
+
+    def test_load_fills_missing_config_fields_with_defaults(self, tmp_path):
+        path = tmp_path / "dynamic_conf.json"
+        path.write_text(json.dumps({
+            "interval_s": 60.0,
+            "entries": [{
+                "time_s": 0.0,
+                "producers": 2,
+                "predicted_gamma": 0.8,
+                "config": {
+                    "semantics": "at_most_once",
+                    "batch_size": 4,
+                    "polling_interval_s": 0.02,
+                    "message_timeout_s": 1.5,
+                    "request_timeout_s": 2.0,
+                    "max_retries": 3,
+                },
+            }],
+        }))
+        [entry] = ConfigurationPlan.load(path).entries
+        assert entry.config == ProducerConfig(
+            semantics=DeliverySemantics.AT_MOST_ONCE,
+            batch_size=4,
+            polling_interval_s=0.02,
+            message_timeout_s=1.5,
+            request_timeout_s=2.0,
+            max_retries=3,
+        )
 
 
 class TestController:
