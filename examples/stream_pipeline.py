@@ -4,14 +4,14 @@
 Builds the paper's motivating topology inside one simulation:
 
     upstream source → producer A → topic "raw"
-        → stream processor B (consumer group) → producer B → topic "derived"
+        → stream processor B (consumer) → producer B → topic "derived"
 
-Processor B consumes ``raw`` via a two-member consumer group, applies a
-filter (drops ~30 % of records, e.g. bot traffic), and republishes the
-survivors — acting as a producer itself, exactly the role the paper
-highlights ("in these cases it also publishes messages as a producer").
-A network fault hits producer A's uplink mid-run; the end-to-end loss of
-the pipeline is then reconciled stage by stage.
+Processor B reads ``raw`` with a consumer polled every half second,
+applies a filter (drops ~30 % of records, e.g. bot traffic), and
+republishes the survivors — acting as a producer itself, exactly the role
+the paper highlights ("in these cases it also publishes messages as a
+producer").  A network fault hits producer A's uplink mid-run; the
+end-to-end loss of the pipeline is then reconciled stage by stage.
 
 Run with::
 
@@ -20,12 +20,13 @@ Run with::
 
 from repro.analysis import render_table
 from repro.kafka import (
-    ConsumerGroup,
     DeliverySemantics,
     KafkaCluster,
+    KafkaConsumer,
     KafkaProducer,
     ProducerConfig,
     ProducerRecord,
+    reconcile,
 )
 from repro.network import ConstantLatency, FaultInjector, Link, NetworkFault, ReliableChannel
 from repro.simulation import RngRegistry, Simulator
@@ -33,9 +34,16 @@ from repro.simulation import RngRegistry, Simulator
 SOURCE_MESSAGES = 3000
 SOURCE_RATE = 8.0  # msg/s: inside the scaled link's comfort zone
 FILTER_KEEP = 0.7
+POLL_INTERVAL_S = 0.5
 
 
-def main() -> None:
+def run_pipeline():
+    """Run both stages; return ``(stage1, stage2, kept_keys)``.
+
+    ``stage1`` reconciles the source against ``raw`` and ``stage2`` the
+    filter's survivors against ``derived``; ``kept_keys`` are the keys
+    processor B republished.
+    """
     sim = Simulator()
     rng = RngRegistry(2027)
     cluster = KafkaCluster(sim, broker_count=3)
@@ -71,54 +79,58 @@ def main() -> None:
 
     sim.schedule(0.0, feed)
 
-    # Stage 2: processor B — a consumer group feeding its own producer.
+    # Stage 2: processor B — a consumer feeding its own producer.
     link_b, channel_b = make_uplink("uplink-b")
     producer_b = KafkaProducer(
         sim, cluster, channel_b, derived,
         config=ProducerConfig(semantics=DeliverySemantics.EXACTLY_ONCE,
                               batch_size=2, message_timeout_s=3.0),
     )
-    group = ConsumerGroup(cluster, raw, group_id="processor-b")
-    workers = [group.join(f"worker-{i}") for i in range(2)]
+    consumer = KafkaConsumer(raw, max_poll_records=100)
     kept_keys = set()
     processed = set()
     filter_rng = rng.stream("filter")
 
-    def process_tick():
-        for worker in workers:
-            for entry in worker.poll(max_records=50):
-                if entry.key in processed:
-                    continue  # at-least-once consumption: dedup by key
-                processed.add(entry.key)
-                if filter_rng.random() < FILTER_KEEP:
-                    derived_record = ProducerRecord(
-                        payload_bytes=180, key=entry.key, topic="derived"
-                    )
-                    kept_keys.add(derived_record.key)
-                    producer_b.offer(derived_record)
-            worker.commit()
+    def process(entries):
+        for entry in entries:
+            if entry.key in processed:
+                continue  # stage 1 retries can persist a key twice: dedup
+            processed.add(entry.key)
+            if filter_rng.random() < FILTER_KEEP:
+                derived_record = ProducerRecord(
+                    payload_bytes=180, key=entry.key, topic="derived"
+                )
+                kept_keys.add(derived_record.key)
+                producer_b.offer(derived_record)
 
-    stop_processing = sim.every(0.5, process_tick)
+    processing = True
 
+    def tick():
+        if processing:
+            process(consumer.poll())
+            sim.schedule(POLL_INTERVAL_S, tick)
+
+    sim.schedule(POLL_INTERVAL_S, tick)
     sim.run(until=SOURCE_MESSAGES / SOURCE_RATE + 120.0)
-    stop_processing()
-    process_tick()  # final drain
+    processing = False
+    process(consumer.consume_all())  # final drain
     producer_b.finish_input()
     sim.run()
 
-    from repro.kafka import reconcile
+    return reconcile(source_keys, raw), reconcile(kept_keys, derived), kept_keys
 
-    stage1 = reconcile(source_keys, raw)
-    stage2 = reconcile(kept_keys, derived)
+
+def main() -> None:
+    stage1, stage2, kept_keys = run_pipeline()
     rows = [["stage", "produced", "P_l", "P_d"]]
     rows.append(["A → raw (fault-injected uplink)", str(stage1.produced),
                  f"{stage1.p_loss:.2%}", f"{stage1.p_duplicate:.3%}"])
     rows.append(["B → derived (exactly-once)", str(stage2.produced),
                  f"{stage2.p_loss:.2%}", f"{stage2.p_duplicate:.3%}"])
     print(render_table(rows, title="Pipeline reconciliation per stage"))
-    survivors = stage1.delivered_unique
     print(
-        f"\nsource messages: {len(source_keys)}; survived stage 1: {survivors}"
+        f"\nsource messages: {stage1.produced}"
+        f"; survived stage 1: {stage1.delivered_unique}"
         f"; kept by filter: {len(kept_keys)} (≈{FILTER_KEEP:.0%} of consumed)"
         f"; in 'derived': {stage2.delivered_unique}"
     )

@@ -15,8 +15,7 @@ from .config import (
     ProducerConfig,
 )
 from .consumer import KafkaConsumer, ReconciliationReport, reconcile
-from .group import ConsumerGroup, GroupMember
-from .log import LogEntry, LogSegment, PartitionLog
+from .log import LogEntry, PartitionLog
 from .message import ProducerRecord, RecordMetadata
 from .partition import Partition
 from .producer import KafkaProducer, ProducerListener, ProducerStats
@@ -40,12 +39,9 @@ __all__ = [
     "HardwareProfile",
     "ProducerConfig",
     "KafkaConsumer",
-    "ConsumerGroup",
-    "GroupMember",
     "ReconciliationReport",
     "reconcile",
     "LogEntry",
-    "LogSegment",
     "PartitionLog",
     "ProducerRecord",
     "RecordMetadata",

@@ -211,6 +211,7 @@ class HardwareProfile:
             ("serialization_bytes_per_s", self.serialization_bytes_per_s),
             ("link_capacity_bps", self.link_capacity_bps),
             ("source_burst_on_s", self.source_burst_on_s),
+            ("socket_window_requests", self.socket_window_requests),
         ]
         for name, value in positive:
             if value <= 0:

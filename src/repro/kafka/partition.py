@@ -23,7 +23,6 @@ class Partition:
         index: int,
         leader_broker_id: str,
         replica_broker_ids: Optional[List[str]] = None,
-        segment_max_entries: int = 4096,
     ) -> None:
         if index < 0:
             raise ValueError("partition index must be >= 0")
@@ -31,9 +30,9 @@ class Partition:
         self.index = index
         self.leader_broker_id = leader_broker_id
         self.replica_broker_ids = list(replica_broker_ids or [])
-        self.leader_log = PartitionLog(segment_max_entries)
+        self.leader_log = PartitionLog()
         self.replica_logs: Dict[str, PartitionLog] = {
-            broker_id: PartitionLog(segment_max_entries)
+            broker_id: PartitionLog()
             for broker_id in self.replica_broker_ids
             if broker_id != leader_broker_id
         }

@@ -31,8 +31,6 @@ from ..network.link import FORWARD, REVERSE
 from ..network.transport import ReliableChannel
 from ..observability.metrics import DEFAULT_LATENCY_BUCKETS
 from ..observability.trace import EventKind
-from ..simulation.process import Signal
-from ..simulation.resources import TokenBucket
 from ..simulation.simulator import Simulator
 from .broker import ProduceRequest, ProduceResponse
 from .cluster import KafkaCluster
@@ -176,18 +174,18 @@ class KafkaProducer:
         self._closed = False
         self._batches: Dict[int, _Batch] = {}
         self._outstanding = 0  # records ingested but not yet resolved
-        self._done_signal = Signal(sim, name="producer.done")
+        self._done = False
         semantics = self.config.semantics
         # At-least-once: the in-flight request window (max.in.flight).
         # At-most-once: TCP flow control — a bounded number of requests may
         # sit unacknowledged in the socket; beyond that the accumulator
         # backs up, exactly like a blocked socket write.
-        window = (
+        self._window = (
             self.config.max_in_flight
             if semantics.waits_for_ack
             else self.hardware.socket_window_requests
         )
-        self._tokens = TokenBucket(sim, window)
+        self._in_flight = 0  # requests holding a window slot
         self._in_flight_bytes = 0
         channel.set_receiver(FORWARD, self._cluster_receive)
         channel.set_receiver(REVERSE, self._producer_receive)
@@ -199,9 +197,9 @@ class KafkaProducer:
     # ------------------------------------------------------------- intake
 
     @property
-    def done(self) -> Signal:
-        """Triggered once input is finished and every record is resolved."""
-        return self._done_signal
+    def done(self) -> bool:
+        """True once input is finished and every record is resolved."""
+        return self._done
 
     @property
     def outstanding(self) -> int:
@@ -209,9 +207,9 @@ class KafkaProducer:
         return self._outstanding
 
     @property
-    def queue_depth(self) -> int:
-        """Records currently waiting in the accumulator."""
-        return len(self._queue)
+    def in_flight(self) -> int:
+        """Requests currently holding an in-flight window (or socket) slot."""
+        return self._in_flight
 
     def offer(self, record: ProducerRecord) -> bool:
         """Ingest one record from the upstream source.
@@ -293,11 +291,11 @@ class KafkaProducer:
         if not self._queue:
             self._check_done()
             return
-        if self._tokens.available == 0:
+        if self._in_flight >= self._window:
             return  # back-pressure: wait for an in-flight/socket slot
         if (
             self._in_flight_bytes >= self.hardware.socket_buffer_bytes
-            and self._tokens.in_use > 0
+            and self._in_flight > 0
         ):
             return  # socket send buffer full; a completion will re-trigger
         batch_size = self.config.batch_size
@@ -316,13 +314,11 @@ class KafkaProducer:
         if self._linger_timer is not None:
             self._sim.cancel(self._linger_timer)
             self._linger_timer = None
-        # Availability was checked above; acquire resolves immediately.
-        self._tokens.acquire()
-        token_held = True
+        self._in_flight += 1
         self._serializing = True
         total_bytes = sum(record.payload_bytes for record in records)
         ser_time = self.hardware.serialization_time_s(total_bytes, len(records))
-        self._sim.schedule(ser_time, self._dispatch, records, token_held)
+        self._sim.schedule(ser_time, self._dispatch, records)
 
     def _arm_linger(self, delay: float) -> None:
         if self._linger_timer is not None:
@@ -332,7 +328,7 @@ class KafkaProducer:
             self._maybe_form_batch()
         self._linger_timer = self._sim.schedule(max(1e-6, delay), fire)
 
-    def _dispatch(self, records: List[ProducerRecord], token_held: bool) -> None:
+    def _dispatch(self, records: List[ProducerRecord]) -> None:
         self._serializing = False
         now = self._sim.now
         live: List[ProducerRecord] = []
@@ -348,19 +344,18 @@ class KafkaProducer:
             else:
                 live.append(record)
         if not live:
-            if token_held:
-                self._tokens.release()
+            self._release_slot()
             self._sim.schedule(0.0, self._maybe_form_batch)
             return
         batch = _Batch(live)
-        self._send_batch(batch, token_held)
+        self._send_batch(batch)
         self._sim.schedule(0.0, self._maybe_form_batch)
 
     def _wire_bytes(self, records: List[ProducerRecord]) -> int:
         payload = sum(record.payload_bytes for record in records)
         return payload + self.hardware.request_overhead_bytes
 
-    def _send_batch(self, batch: _Batch, token_held: bool) -> None:
+    def _send_batch(self, batch: _Batch) -> None:
         semantics = self.config.semantics
         partition = self._topic.partition_for(batch.records[0].key)
         base_sequence = None
@@ -411,12 +406,8 @@ class KafkaProducer:
                 request.wire_bytes,
                 payload=request,
                 deadline=self._sim.now + 2.0 * self.config.request_timeout_s,
-                on_delivered=lambda payload, rtt: self._arm_response_timer(
-                    batch, token_held
-                ),
-                on_failed=lambda payload, reason: self._on_transport_failed(
-                    batch, token_held
-                ),
+                on_delivered=lambda payload, rtt: self._arm_response_timer(batch),
+                on_failed=lambda payload, reason: self._on_transport_failed(batch),
             )
         else:
             # Fire and forget: the producer's bookkeeping ends here; the
@@ -441,23 +432,23 @@ class KafkaProducer:
 
     # ------------------------------------------------- at-least-once path
 
-    def _arm_response_timer(self, batch: _Batch, token_held: bool) -> None:
+    def _arm_response_timer(self, batch: _Batch) -> None:
         """The request reached the broker; now wait for its response."""
         if batch.completed or not batch.waiting or batch.timer is not None:
             return
         batch.timer = self._sim.schedule(
-            self.config.request_timeout_s, self._on_request_timeout, batch, token_held
+            self.config.request_timeout_s, self._on_request_timeout, batch
         )
 
-    def _on_transport_failed(self, batch: _Batch, token_held: bool) -> None:
+    def _on_transport_failed(self, batch: _Batch) -> None:
         # The transport gave up before the request timeout fired; handle it
         # exactly like a timeout so retry policy lives in one place.
-        self._handle_request_failure(batch, token_held)
+        self._handle_request_failure(batch)
 
-    def _on_request_timeout(self, batch: _Batch, token_held: bool) -> None:
-        self._handle_request_failure(batch, token_held)
+    def _on_request_timeout(self, batch: _Batch) -> None:
+        self._handle_request_failure(batch)
 
-    def _handle_request_failure(self, batch: _Batch, token_held: bool) -> None:
+    def _handle_request_failure(self, batch: _Batch) -> None:
         if batch.completed or not batch.waiting:
             return
         batch.waiting = False
@@ -490,9 +481,7 @@ class KafkaProducer:
                     attempt=batch.attempt,
                     records=len(survivors),
                 )
-            self._sim.schedule(
-                self.config.retry_backoff_s, self._retry_batch, batch, token_held
-            )
+            self._sim.schedule(self.config.retry_backoff_s, self._retry_batch, batch)
             return
         for record in survivors:
             self.stats.perceived_lost += 1
@@ -502,11 +491,10 @@ class KafkaProducer:
             self._resolve()
         batch.completed = True
         self._in_flight_bytes -= batch.byte_charge
-        if token_held:
-            self._tokens.release()
+        self._release_slot()
         self._sim.schedule(0.0, self._maybe_form_batch)
 
-    def _retry_batch(self, batch: _Batch, token_held: bool) -> None:
+    def _retry_batch(self, batch: _Batch) -> None:
         if batch.completed:
             return
         now = self._sim.now
@@ -526,11 +514,10 @@ class KafkaProducer:
         if not survivors:
             batch.completed = True
             self._in_flight_bytes -= batch.byte_charge
-            if token_held:
-                self._tokens.release()
+            self._release_slot()
             self._sim.schedule(0.0, self._maybe_form_batch)
             return
-        self._send_batch(batch, token_held)
+        self._send_batch(batch)
 
     def _producer_receive(self, payload, size_bytes: int) -> None:
         """A message arrived on the REVERSE direction (a broker response)."""
@@ -557,7 +544,7 @@ class KafkaProducer:
             if self._ack_rtt is not None:
                 self._ack_rtt.observe(now - ingest)
             self._resolve()
-        self._tokens.release()
+        self._release_slot()
         self._sim.schedule(0.0, self._maybe_form_batch)
 
     # ------------------------------------------------- at-most-once path
@@ -565,7 +552,7 @@ class KafkaProducer:
     def _on_amo_settled(self, request: ProduceRequest) -> None:
         # Every segment was TCP-acknowledged: free the socket slot.
         self._in_flight_bytes -= request.wire_bytes
-        self._tokens.release()
+        self._release_slot()
         self._sim.schedule(0.0, self._maybe_form_batch)
 
     def _on_amo_failed(self, request: ProduceRequest) -> None:
@@ -575,7 +562,7 @@ class KafkaProducer:
         for record in request.records:
             self.listener.on_attempt_failed(record, request.attempt)
         self._in_flight_bytes -= request.wire_bytes
-        self._tokens.release()
+        self._release_slot()
         self._sim.schedule(0.0, self._maybe_form_batch)
 
     # ---------------------------------------------------- cluster wiring
@@ -600,6 +587,12 @@ class KafkaProducer:
 
     # ------------------------------------------------------------- close
 
+    def _release_slot(self) -> None:
+        """Free the window slot a finished request held."""
+        if self._in_flight == 0:
+            raise RuntimeError("release without matching acquire")
+        self._in_flight -= 1
+
     def _resolve(self) -> None:
         self._outstanding -= 1
         if self._outstanding < 0:
@@ -611,12 +604,12 @@ class KafkaProducer:
             self._input_finished
             and self._outstanding == 0
             and not self._queue
-            and not self._done_signal.triggered
+            and not self._done
         ):
             if self._sweep_event is not None:
                 self._sim.cancel(self._sweep_event)
                 self._sweep_event = None
-            self._done_signal.trigger(self.stats)
+            self._done = True
 
     def close(self) -> None:
         """Stop timers; the producer accepts no further records."""

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .log import LogEntry
 from .partition import Partition
 
 __all__ = ["Topic", "Partitioner", "RoundRobinPartitioner", "KeyHashPartitioner"]
@@ -65,13 +64,6 @@ class Topic:
     def total_messages(self) -> int:
         """Entries across all partitions (duplicates included)."""
         return sum(len(p.leader_log) for p in self.partitions)
-
-    def read_all(self) -> List[LogEntry]:
-        """All committed entries across partitions, by partition order."""
-        out: List[LogEntry] = []
-        for partition in self.partitions:
-            out.extend(partition.read())
-        return out
 
     def key_counts(self) -> Dict[int, int]:
         """Merge per-partition key counts (the reconciliation input)."""

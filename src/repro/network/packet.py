@@ -60,7 +60,3 @@ class Packet:
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:
             raise ValueError("packet size must be positive")
-
-    def is_ack(self) -> bool:
-        """True when this packet is a transport acknowledgement."""
-        return self.kind is PacketKind.ACK

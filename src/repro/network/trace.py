@@ -4,9 +4,10 @@ The dynamic-configuration experiment of Section V runs the producer under a
 network whose one-way delay follows a Pareto distribution and whose packet
 loss rate is driven by a Gilbert–Elliott two-state Markov chain.  This
 module generates such traces as a sequence of per-interval samples that can
-be (a) plotted (Fig. 9), (b) replayed onto a link through the
-:class:`~repro.network.faults.FaultInjector`, and (c) fed to the dynamic
-configuration controller as the "known network status" the paper assumes.
+be (a) plotted (Fig. 9), (b) replayed interval by interval as experiment
+scenarios (:func:`~repro.kpi.dynamic.run_traced_experiment`), and (c) fed
+to the dynamic configuration controller as the "known network status" the
+paper assumes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
-from .faults import FaultInjector, NetworkFault
 from .latency import ParetoLatency
 from .loss import GilbertElliottLoss
 
@@ -66,13 +66,6 @@ class NetworkTrace:
         """Average loss rate across the trace."""
         return float(np.mean([p.loss_rate for p in self.points]))
 
-    def schedule_on(self, injector: FaultInjector, bursty: bool = False) -> None:
-        """Replay the trace as scheduled fault injections on a link."""
-        for point in self.points:
-            injector.inject_at(
-                point.time_s,
-                NetworkFault(delay_s=point.delay_s, loss_rate=point.loss_rate, bursty=bursty),
-            )
 
 
 class GilbertElliottRateProcess:

@@ -16,7 +16,7 @@ All formulas assume the normal-network regime (the paper evaluates φ and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 from ..kafka.config import BrokerConfig, HardwareProfile, ProducerConfig
 from ..network.packet import ACK_PACKET_BYTES, DEFAULT_MTU, WIRE_HEADER_BYTES
@@ -218,24 +218,6 @@ class ProducerPerformanceModel:
             self._predict_cache.clear()
         self._predict_cache[key] = estimate
         return estimate
-
-    def predict_many(
-        self,
-        configs: Sequence[ProducerConfig],
-        message_bytes: int,
-        network_delay_s: float = 0.0,
-    ) -> List[PerformanceEstimate]:
-        """Predict a batch of configurations, sharing the memo.
-
-        The model is closed-form per configuration (no cross-candidate
-        coupling), so batching here is about the memo: a hill-climb round
-        re-scores mostly-seen candidates and pays the arithmetic only for
-        the new ones.
-        """
-        return [
-            self.predict(config, message_bytes, network_delay_s)
-            for config in configs
-        ]
 
     def _predict_uncached(
         self,

@@ -86,39 +86,6 @@ class Simulator:
         """Cancel a scheduled event."""
         self._queue.cancel(event)
 
-    def every(
-        self,
-        interval: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        start_delay: Optional[float] = None,
-    ) -> Callable[[], None]:
-        """Run ``callback`` every ``interval`` seconds until cancelled.
-
-        Returns a zero-argument function that stops the recurrence.
-        """
-        if interval <= 0:
-            raise SimulationError("interval must be positive")
-        state = {"event": None, "stopped": False}
-
-        def tick() -> None:
-            if state["stopped"]:
-                return
-            callback(*args)
-            if not state["stopped"]:
-                state["event"] = self.schedule(interval, tick)
-
-        state["event"] = self.schedule(
-            interval if start_delay is None else start_delay, tick
-        )
-
-        def stop() -> None:
-            state["stopped"] = True
-            if state["event"] is not None:
-                self.cancel(state["event"])
-
-        return stop
-
     def step(self) -> bool:
         """Advance the clock to the next event and fire it.
 

@@ -201,10 +201,20 @@ class Experiment:
         start = self.sim.now
         processed = self.sim.run(max_events=self.MAX_EVENTS)
         if processed >= self.MAX_EVENTS:
-            raise RuntimeError(
+            raise self._scenario_error(
                 "experiment exceeded the event budget; check for overload "
                 "configurations that never converge"
             )
+        # The queue drained, so every producer must have settled: a record
+        # or window slot still held here would silently skew the census.
+        for index, member in enumerate(self.members):
+            producer = member.producer
+            if not producer.done or producer.outstanding or producer.in_flight:
+                raise self._scenario_error(
+                    f"producer {index} did not drain: done={producer.done}, "
+                    f"outstanding={producer.outstanding}, "
+                    f"in_flight={producer.in_flight}"
+                )
         duration = self.sim.now - start
         # Fault injection "stops" before consumption: reconciliation reads
         # the committed logs directly, after all network events settled.
@@ -268,6 +278,11 @@ class Experiment:
         )
         result.manifest = manifest
         return result
+
+    def _scenario_error(self, message: str) -> RuntimeError:
+        """A run failure naming the scenario it happened on."""
+        fingerprint = scenario_fingerprint(self.scenario, default_salt())
+        return RuntimeError(f"{message} (scenario {fingerprint})")
 
     def _finish_telemetry(self, report, census, duration, wall_start) -> dict:
         """Snapshot stats into metrics, build the manifest, check invariants."""

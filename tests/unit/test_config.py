@@ -108,6 +108,12 @@ class TestHardwareProfile:
         with pytest.raises(ValueError):
             HardwareProfile(source_burst_off_s=-1.0)
 
+    def test_socket_window_must_be_positive(self):
+        # The at-most-once producer's send window: zero slots would park
+        # every record in the accumulator until it expired.
+        with pytest.raises(ValueError, match="socket_window_requests"):
+            HardwareProfile(socket_window_requests=0)
+
 
 class TestBrokerConfig:
     def test_validation(self):

@@ -131,9 +131,3 @@ def test_packet_size_must_be_positive():
 def test_capacity_validation(sim, rng):
     with pytest.raises(ValueError):
         Link(sim, rng, capacity_bps=0.0)
-
-
-def test_utilisation_hint_saturates_at_one(sim, rng):
-    link = Link(sim, rng, capacity_bps=100.0, max_queue_delay_s=0.5)
-    link.send(make_packet(size=100), FORWARD, lambda p: None)
-    assert 0.0 < link.forward.utilisation_hint() <= 1.0

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.kafka import KeyHashPartitioner, Partition, PartitionLog, RoundRobinPartitioner, Topic
-from repro.kafka.log import LogEntry, LogSegment
 
 BROKERS = ["broker-0", "broker-1", "broker-2"]
 
@@ -37,15 +36,8 @@ class TestPartitionLog:
         assert [log.append(k, 10, 0.0) for k in (5, 6, 7)] == [0, 1, 2]
         assert log.next_offset == 3
 
-    def test_segment_rolling(self):
-        log = PartitionLog(segment_max_entries=2)
-        for key in range(5):
-            log.append(key, 10, 0.0)
-        assert log.segment_count == 3
-        assert [entry.offset for entry in log] == list(range(5))
-
     def test_read_from_offset(self):
-        log = PartitionLog(segment_max_entries=2)
+        log = PartitionLog()
         for key in range(6):
             log.append(key, 10, 0.0)
         entries = log.read(start_offset=3)
@@ -75,19 +67,6 @@ class TestPartitionLog:
         log = PartitionLog()
         log.append(1, 10, 0.0, producer_id=1, sequence=0)
         assert log.append(2, 10, 0.0, producer_id=2, sequence=0) is not None
-
-    def test_segment_append_offset_check(self):
-        segment = LogSegment(base_offset=10)
-        from repro.kafka.log import LogEntry
-        with pytest.raises(ValueError):
-            segment.append(LogEntry(offset=12, key=1, payload_bytes=1, timestamp=0.0))
-
-    def test_segment_rejects_a_rewound_offset(self):
-        segment = LogSegment(base_offset=10)
-        segment.append(LogEntry(offset=10, key=1, payload_bytes=1, timestamp=0.0))
-        with pytest.raises(ValueError):
-            segment.append(LogEntry(offset=10, key=2, payload_bytes=1, timestamp=0.0))
-        assert [entry.key for entry in segment.entries] == [1]
 
 
 class TestPartition:
@@ -204,50 +183,3 @@ class TestTopic:
         topic.partitions[0].append(1, 10, 0.0)
         topic.partitions[0].append(2, 10, 0.0)
         assert topic.total_messages() == 2
-
-    def test_read_all_concatenates(self):
-        topic = self.make()
-        topic.partitions[2].append(9, 10, 0.0)
-        assert [entry.key for entry in topic.read_all()] == [9]
-
-
-class TestRetention:
-    def filled(self, entries=10, per_segment=3):
-        log = PartitionLog(segment_max_entries=per_segment)
-        for key in range(entries):
-            log.append(key, 100, timestamp=float(key))
-        return log
-
-    def test_retain_by_bytes_drops_oldest_segments(self):
-        log = self.filled(entries=9, per_segment=3)  # 3 segments * 300 B
-        removed = log.retain(max_bytes=600)
-        assert removed == 3
-        assert log.start_offset == 3
-        assert [entry.key for entry in log] == list(range(3, 9))
-
-    def test_retain_by_time(self):
-        log = self.filled(entries=9, per_segment=3)
-        removed = log.retain(min_timestamp=4.0)
-        assert removed == 3  # first segment's newest timestamp is 2.0
-        assert log.start_offset == 3
-
-    def test_active_segment_never_deleted(self):
-        log = self.filled(entries=2, per_segment=10)
-        assert log.retain(max_bytes=0) == 0
-        assert len(log) == 2
-
-    def test_offsets_stay_stable_after_retention(self):
-        log = self.filled(entries=9, per_segment=3)
-        log.retain(max_bytes=300)
-        offset = log.append(99, 100, timestamp=9.0)
-        assert offset == 9  # appends continue from the log end offset
-
-    def test_read_after_retention_skips_deleted(self):
-        log = self.filled(entries=9, per_segment=3)
-        log.retain(max_bytes=300)
-        entries = log.read(start_offset=0)
-        assert entries[0].offset == log.start_offset
-
-    def test_no_retention_criteria_is_noop(self):
-        log = self.filled()
-        assert log.retain() == 0

@@ -69,7 +69,7 @@ def test_clean_at_least_once_delivers_everything():
     sim, _, topic, producer = make_producer()
     keys = offer_n(sim, producer, 20)
     sim.run()
-    assert producer.done.triggered
+    assert producer.done
     assert producer.stats.acknowledged == 20
     assert sorted(topic.key_counts()) == sorted(keys)
 
@@ -102,7 +102,7 @@ def test_linger_flushes_partial_batch():
     assert topic.total_messages() == 1
     producer.finish_input()
     sim.run()
-    assert producer.done.triggered
+    assert producer.done
 
 
 def test_finish_input_flushes_incomplete_batch_immediately():
@@ -151,16 +151,31 @@ def test_done_signal_waits_for_outstanding():
     sim, _, _, producer = make_producer()
     producer.offer(ProducerRecord(payload_bytes=100, key=0))
     producer.finish_input()
-    assert not producer.done.triggered
+    assert not producer.done
     sim.run()
-    assert producer.done.triggered
+    assert producer.done
 
 
 def test_done_with_no_input():
     sim, _, _, producer = make_producer()
     producer.finish_input()
     sim.run()
-    assert producer.done.triggered
+    assert producer.done
+
+
+def test_window_slots_are_all_released():
+    sim, _, _, producer = make_producer(ProducerConfig(max_in_flight=2))
+    offer_n(sim, producer, 30, spacing=0.0)
+    sim.run(until=0.001)
+    assert 0 < producer.in_flight <= 2
+    sim.run()
+    assert producer.in_flight == 0
+
+
+def test_release_without_matching_acquire_raises():
+    _, _, _, producer = make_producer()
+    with pytest.raises(RuntimeError, match="without matching acquire"):
+        producer._release_slot()
 
 
 def test_offer_after_close_raises():

@@ -90,20 +90,6 @@ def test_max_events_bounds_processing():
     assert sim.pending_events == 6
 
 
-def test_every_repeats_until_stopped():
-    sim = Simulator()
-    ticks = []
-    stop = sim.every(1.0, lambda: ticks.append(sim.now))
-    sim.schedule(3.5, stop)
-    sim.run(until=10.0)
-    assert ticks == [1.0, 2.0, 3.0]
-
-
-def test_every_rejects_non_positive_interval():
-    with pytest.raises(SimulationError):
-        Simulator().every(0.0, lambda: None)
-
-
 def test_cancel_prevents_callback():
     sim = Simulator()
     fired = []
